@@ -212,7 +212,7 @@ double registration_phase(const std::string& cache_dir, std::uint32_t regs,
   }
   const double per_reg_ns =
       static_cast<double>(now_ns() - t0) / static_cast<double>(regs);
-  const StatsMsg stats = server.stats();
+  const ServerStats stats = server.stats();
   check(stats.plans_compiled == expect_compiled,
         "cache-phase compile count (plan cache not working?)");
   server.stop();
@@ -297,7 +297,7 @@ int main(int argc, char** argv) {
   }
 
   server.runtime().wait_idle();
-  const StatsMsg stats = server.stats();
+  const ServerStats stats = server.stats();
   check(stats.plans_compiled == 1, "shared graph compiled more than once");
   check(stats.completed >= completed, "server completed < client-verified");
 

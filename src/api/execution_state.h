@@ -1,8 +1,8 @@
 // Internal per-execution state behind the api::Execution handle.
 //
 // One ExecutionState is one submitted graph execution: the RootJob handed to
-// the scheduler, the executor that runs it (spec path), timing stamps, and
-// the counter-attribution bookkeeping. It lives in one of two places:
+// the scheduler, the executor that runs it (spec path), and timing stamps.
+// It lives in one of two places:
 //
 //   * spec submissions (Runtime::submit(GraphSpec&, Key)) heap-allocate one
 //     per submission and the Execution handle owns it;
@@ -15,13 +15,11 @@
 // src/plan/ can embed it without a dependency cycle.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
 #include "nabbit/executor.h"
 #include "nabbit/types.h"
-#include "rt/counters.h"
 #include "rt/scheduler.h"
 
 namespace nabbitc::plan {
@@ -44,25 +42,6 @@ struct ExecutionState {
 
   std::uint64_t t_submit_ns = 0;
   std::uint64_t t_done_ns = 0;  // stamped by the adopting worker
-
-  // Counter attribution (see Execution::counters).
-  rt::WorkerCounters before;
-  rt::WorkerCounters delta;
-  /// Scheduler submission count expected while this execution is the only
-  /// one in its window; any other submit() bumps it past this and voids
-  /// attribution.
-  std::uint32_t expected_submissions = 0;
-  /// The owning Runtime's reset_counters() generation at submit; a reset
-  /// inside the window destroys the delta's base snapshot.
-  const std::atomic<std::uint64_t>* reset_gen = nullptr;
-  std::uint64_t expected_reset_gen = 0;
-  bool attributable = false;
-  bool finalized = false;
-
-  bool window_polluted() const {
-    return sched->submissions() != expected_submissions ||
-           reset_gen->load(std::memory_order_acquire) != expected_reset_gen;
-  }
 };
 
 }  // namespace nabbitc::api::detail

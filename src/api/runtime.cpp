@@ -203,45 +203,6 @@ TaskGraphNode* Execution::find(Key key) const {
   return st_->exec->find(key);
 }
 
-const rt::WorkerCounters& Execution::counters() {
-  NABBITC_CHECK_MSG(st_ != nullptr, "empty Execution");
-  wait();
-  if (!st_->finalized) {
-    st_->sched->wait_idle();
-    // Any submission other than our own inside [snapshot, now] — overlap
-    // during the run or executions that ran after us — pollutes the delta,
-    // and a reset_counters() inside the window destroys its base snapshot.
-    if (st_->window_polluted()) {
-      st_->attributable = false;
-      // A reset makes aggregate-minus-before meaningless (unsigned
-      // underflow); report zeros rather than garbage.
-      if (st_->reset_gen->load(std::memory_order_acquire) !=
-          st_->expected_reset_gen) {
-        st_->delta = rt::WorkerCounters{};
-        st_->finalized = true;
-        return st_->delta;
-      }
-    }
-    // The _idle snapshot re-waits for quiescence under the scheduler lock:
-    // a foreign submission racing in between wait_idle above and this read
-    // would otherwise race the merge against a worker's counter bumps.
-    st_->delta = st_->sched->aggregate_counters_idle();
-    st_->delta.subtract(st_->before);
-    st_->finalized = true;
-  }
-  return st_->delta;
-}
-
-bool Execution::counters_attributable() const {
-  NABBITC_CHECK_MSG(st_ != nullptr, "empty Execution");
-  // Report pollution as soon as it exists, not only after counters() has
-  // materialized the delta — callers guard counters() with this.
-  if (!st_->finalized && st_->attributable && st_->window_polluted()) {
-    return false;
-  }
-  return st_->attributable;
-}
-
 std::uint64_t Execution::submit_time_ns() const {
   NABBITC_CHECK_MSG(st_ != nullptr, "empty Execution");
   return st_->t_submit_ns;
@@ -297,34 +258,6 @@ Runtime::Runtime(RuntimeOptions opts) : opts_(opts) {
 
 Runtime::~Runtime() = default;  // ~Scheduler drains in-flight jobs
 
-namespace {
-
-/// Notes the conditions under which this execution's counter delta will be
-/// attributable, and snapshots the base. Counter attribution is only
-/// meaningful when nothing else runs in the execution's window; recording
-/// the expectations now lets counters() refuse to lie later. The snapshot
-/// needs a fully parked pool (lingering thieves still bump steal counters
-/// right after a job ends), and wait_idle cannot be called from a worker.
-/// Exactly one submission — our own — may happen after the count below;
-/// counters() re-checks, along with the reset_counters() generation.
-void arm_attribution_window(detail::ExecutionState& st, rt::Scheduler& sched,
-                            const std::atomic<std::uint64_t>& reset_gen) {
-  st.expected_submissions = sched.submissions() + 1;
-  st.reset_gen = &reset_gen;
-  st.expected_reset_gen = reset_gen.load(std::memory_order_acquire);
-  st.attributable = rt::Scheduler::current() == nullptr && !sched.job_active();
-  if (st.attributable) {
-    // One atomic wait-for-quiescence + snapshot: a concurrent submitter
-    // between a separate wait_idle and the read would wake workers into
-    // the merge (the delta would be voided as polluted later, but the
-    // racy read itself must not happen).
-    st.before = sched.aggregate_counters_idle();
-  }
-  st.t_submit_ns = now_ns();
-}
-
-}  // namespace
-
 Execution Runtime::submit(GraphSpec& spec, Key sink) {
   return submit(spec, sink, opts_.default_submit);
 }
@@ -346,7 +279,7 @@ Execution Runtime::submit(GraphSpec& spec, Key sink, const SubmitOptions& so) {
   } else {
     st->exec = std::make_unique<nabbit::DynamicExecutor>(*sched_, spec, eo);
   }
-  arm_attribution_window(*st, *sched_, counter_reset_gen_);
+  st->t_submit_ns = now_ns();
   detail::ExecutionState* raw = st.get();
   st->job.fn = [raw](rt::Worker& w) {
     raw->exec->run_root(w, raw->sink);
@@ -426,22 +359,15 @@ Execution Runtime::submit(const plan::GraphPlan& plan, const SubmitOptions& so) 
   st.name = so.name;
   st.job.lane = static_cast<std::uint8_t>(so.priority);
   st.job.deadline_ns = so.deadline_ns;
+  st.t_submit_ns = now_ns();
   if (plan.serial_lowered()) {
     // Tiny-graph lowering: the whole replay runs right here on the
     // submitting thread — no scheduler round-trip, no worker wake, no
     // futex. The handle comes back already done; wait() is then a single
-    // acquire load. Worker counters never move for an inline replay, so
-    // the window is filled batch-style (never attributable).
-    st.attributable = false;
-    st.finalized = false;
-    st.reset_gen = &counter_reset_gen_;
-    st.expected_reset_gen = counter_reset_gen_.load(std::memory_order_acquire);
-    st.expected_submissions = 0;  // never matches: no scheduler submission
-    st.t_submit_ns = now_ns();
+    // acquire load.
     inst->run_inline();
     return Execution(&st);
   }
-  arm_attribution_window(st, *sched_, counter_reset_gen_);
   sched_->submit(st.job);
   return Execution(&st);
 }
@@ -461,28 +387,18 @@ Execution Runtime::run(const plan::GraphPlan& plan, const SubmitOptions& so) {
 //
 // One checkout under one freelist lock, one submit-ring push per lane, one
 // worker wake — the per-replay overhead singleton submit() pays N times is
-// paid once per batch. Counter attribution is deliberately NOT armed for
-// batch items (a batch is by definition overlapping submissions, so no
-// item's window could ever be attributable — and arming costs a wait_idle
-// probe per item); the fields are filled so counters() still answers
-// safely, it just reports non-attributable.
+// paid once per batch.
 
 namespace {
 
 void fill_batch_state(detail::ExecutionState& st, rt::Scheduler& sched,
                       const plan::GraphPlan& plan, const SubmitOptions& so,
-                      const std::atomic<std::uint64_t>& reset_gen,
                       std::uint64_t t_submit_ns) {
   st.sched = &sched;
   st.sink = plan.sink();
   st.name = so.name;
   st.job.lane = static_cast<std::uint8_t>(so.priority);
   st.job.deadline_ns = so.deadline_ns;
-  st.attributable = false;
-  st.finalized = false;
-  st.reset_gen = &reset_gen;
-  st.expected_reset_gen = reset_gen.load(std::memory_order_acquire);
-  st.expected_submissions = 0;  // never matches: batch windows overlap
   st.t_submit_ns = t_submit_ns;
 }
 
@@ -517,8 +433,8 @@ void BatchHandle::init(Runtime& rt, const plan::GraphPlan& plan,
   const std::uint64_t t_submit = now_ns();
   for (std::size_t i = 0; i < n; ++i) {
     detail::ExecutionState& st = insts_[i]->exec_state();
-    fill_batch_state(st, *sched_, plan, per_item != nullptr ? per_item[i] : *uniform,
-                     rt.counter_reset_gen_, t_submit);
+    fill_batch_state(st, *sched_, plan,
+                     per_item != nullptr ? per_item[i] : *uniform, t_submit);
     jobs_[i] = &st.job;
   }
   sched_->submit_batch(jobs_, n, &sync_);
@@ -619,8 +535,7 @@ void Runtime::submit_batch(const plan::GraphPlan& plan,
     const std::uint64_t t_submit = now_ns();
     for (std::size_t i = 0; i < k; ++i) {
       detail::ExecutionState& st = insts[i]->exec_state();
-      fill_batch_state(st, *sched_, plan, items[done + i], counter_reset_gen_,
-                       t_submit);
+      fill_batch_state(st, *sched_, plan, items[done + i], t_submit);
       jobs[i] = &st.job;
     }
     // No BatchSync: each Execution waits on its own job's done flag, so a
@@ -638,13 +553,6 @@ void Runtime::run_parallel(std::function<void(rt::Worker&)> fn) {
   sched_->execute(std::move(fn));
 }
 
-std::unique_ptr<nabbit::StaticExecutor> Runtime::static_graph() {
-  if (opts_.variant == Variant::kNabbitC) {
-    return std::make_unique<nabbit::ColoredStaticExecutor>(*sched_);
-  }
-  return std::make_unique<nabbit::StaticExecutor>(*sched_);
-}
-
 std::uint32_t Runtime::workers() const noexcept { return sched_->num_workers(); }
 
 const numa::Topology& Runtime::topology() const noexcept {
@@ -658,9 +566,6 @@ rt::WorkerCounters Runtime::counters() const {
 void Runtime::reset_counters() {
   sched_->wait_idle();
   sched_->reset_counters();
-  // Outstanding Executions' delta base snapshots are now stale; the bump
-  // lets them detect it instead of reporting underflowed deltas.
-  counter_reset_gen_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 bool Runtime::tracing() const noexcept { return sched_->tracing(); }
@@ -679,6 +584,10 @@ void Runtime::wait_idle() const { sched_->wait_idle(); }
 
 std::size_t Runtime::arena_bytes() const noexcept {
   return sched_->frame_arena_bytes();
+}
+
+std::size_t Runtime::arena_live_bytes() const {
+  return sched_->frame_arena_live_bytes_idle();
 }
 
 }  // namespace nabbitc::api

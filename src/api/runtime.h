@@ -24,7 +24,6 @@
 // until the execution completes instead of blocking.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -37,7 +36,6 @@
 #include "api/submit_options.h"
 #include "api/variant.h"
 #include "nabbit/executor.h"
-#include "nabbit/static_executor.h"
 #include "rt/scheduler.h"
 #include "trace/collector.h"
 
@@ -136,16 +134,6 @@ class Execution {
   /// Stable (and most useful) after wait().
   TaskGraphNode* find(Key key) const;
 
-  /// Scheduler-counter delta attributed to this execution: aggregate
-  /// counters at the first counters() call minus at submission. Only
-  /// attributable when NO other submission happened anywhere in that
-  /// window — neither overlapping this execution nor between its
-  /// completion and the counters() call; counters_attributable() reports
-  /// whether that held (query counters per execution, as it completes).
-  /// The first call quiesces the pool (wait_idle).
-  const rt::WorkerCounters& counters();
-  bool counters_attributable() const;
-
   /// Submission / completion timestamps (now_ns clock, the trace clock).
   std::uint64_t submit_time_ns() const;
   std::uint64_t complete_time_ns() const;
@@ -157,7 +145,7 @@ class Execution {
 
   /// The slice of a collected trace that overlaps this execution's
   /// [submit, complete] window — per-execution attribution of a
-  /// Runtime::collect_trace() result. Exact attribution again requires
+  /// Runtime::collect_trace() result. Exact attribution requires
   /// serialized submissions (concurrent executions share the window).
   trace::Trace trace_slice(const trace::Trace& full) const;
 
@@ -273,18 +261,14 @@ class Runtime {
   /// called from a worker thread.
   void run_parallel(std::function<void(rt::Worker&)> fn);
 
-  /// Builder for fully-known (static) graphs; the executor subclass is
-  /// chosen from the runtime's variant, like submit() does for dynamic
-  /// graphs. Usage: add_node()* -> prepare() -> run() (re-run via reset()).
-  std::unique_ptr<nabbit::StaticExecutor> static_graph();
-
   std::uint32_t workers() const noexcept;
   Variant variant() const noexcept { return opts_.variant; }
   const numa::Topology& topology() const noexcept;
   const RuntimeOptions& options() const noexcept { return opts_; }
 
   /// Quiesces the pool, then sums per-worker counters (cumulative since the
-  /// last reset_counters).
+  /// last reset_counters). One execution's counters, serialized:
+  /// reset_counters(); run(...); counters().
   rt::WorkerCounters counters() const;
   void reset_counters();
 
@@ -304,6 +288,14 @@ class Runtime {
   /// regression guard for long-lived servers. Safe from any thread.
   std::size_t arena_bytes() const noexcept;
 
+  /// Quiesces the pool, then sums the arena blocks still stamped with a
+  /// frame epoch above the reclamation watermark: storage an unfinished job
+  /// could still reference. On a quiescent pool any nonzero value is a
+  /// leak (a finished job whose epoch never retired). This is the leak
+  /// oracle; arena_bytes() is retained capacity, which a new interleaving
+  /// may legally raise.
+  std::size_t arena_live_bytes() const;
+
   /// The underlying scheduler — for white-box tests and micro-benchmarks
   /// that need Worker-level access. Embedders should not need this.
   rt::Scheduler& scheduler() noexcept { return *sched_; }
@@ -311,13 +303,10 @@ class Runtime {
 
  private:
   friend class Execution;
-  friend class BatchHandle;  // submits through sched_ / counter_reset_gen_
+  friend class BatchHandle;  // submits through sched_
 
   RuntimeOptions opts_;
   std::unique_ptr<rt::Scheduler> sched_;
-  /// Bumped by reset_counters(); outstanding Executions use it to detect
-  /// that their delta base snapshot was destroyed.
-  std::atomic<std::uint64_t> counter_reset_gen_{0};
 };
 
 }  // namespace nabbitc::api

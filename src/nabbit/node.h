@@ -99,7 +99,6 @@ class TaskGraphNode {
 
  private:
   friend class DynamicExecutor;
-  friend class StaticExecutor;
   friend class SerialExecutor;
   // The compiled-plan replay path (src/plan/) drives nodes through frozen
   // CSR arrays instead of the concurrent map, but sets the same key/color/

@@ -20,13 +20,6 @@ struct ReadyLeafDynamic {
   }
 };
 
-struct ReadyLeafStatic {
-  StaticExecutor* ex;
-  void operator()(rt::Worker& w, TaskGraphNode* node) const {
-    ex->compute_and_notify(w, node);
-  }
-};
-
 }  // namespace
 
 void ColoredDynamicExecutor::spawn_preds(rt::Worker& w, rt::TaskGroup& g,
@@ -42,13 +35,6 @@ void ColoredDynamicExecutor::spawn_ready(rt::Worker& w, rt::TaskGroup& g,
   spawn_colored(
       w, g, ready, n, [](TaskGraphNode* node) { return node->color(); },
       ReadyLeafDynamic{this});
-}
-
-void ColoredStaticExecutor::spawn_ready(rt::Worker& w, rt::TaskGroup& g,
-                                        TaskGraphNode** ready, std::size_t n) {
-  spawn_colored(
-      w, g, ready, n, [](TaskGraphNode* node) { return node->color(); },
-      ReadyLeafStatic{this});
 }
 
 }  // namespace nabbitc::nabbit

@@ -333,19 +333,6 @@ std::optional<CancelAckMsg> Client::cancel(std::uint64_t exec_id,
   return m;
 }
 
-std::optional<StatsMsg> Client::stats(int timeout_ms) {
-  WireWriter w;  // empty body
-  if (!send_frame(FrameType::kStatsReq, w)) return std::nullopt;
-  const auto f = await(FrameType::kStats, timeout_ms);
-  if (!f) return std::nullopt;
-  StatsMsg m;
-  if (!decode_stats({f->body.data(), f->body.size()}, m)) {
-    fail("malformed STATS reply");
-    return std::nullopt;
-  }
-  return m;
-}
-
 std::optional<MetricsMsg> Client::metrics(int timeout_ms) {
   WireWriter w;  // empty body
   if (!send_frame(FrameType::kMetricsReq, w)) return std::nullopt;

@@ -87,7 +87,6 @@ class Client {
                                         int timeout_ms = 30000);
   std::optional<CancelAckMsg> cancel(std::uint64_t exec_id,
                                      int timeout_ms = 30000);
-  std::optional<StatsMsg> stats(int timeout_ms = 30000);
   /// METRICS: the server's full metrics-registry dump (counters, gauges,
   /// histogram buckets) plus server-derived gauges (lane depths, pool
   /// occupancy). See obs/metrics.h for the name vocabulary.

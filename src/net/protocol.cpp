@@ -368,34 +368,6 @@ bool decode_cancel_ack(std::span<const std::uint8_t> body, CancelAckMsg& out) {
   return r.u64(out.exec_id) && r.u8(out.found) && r.done();
 }
 
-void encode_stats(const StatsMsg& m, WireWriter& w) {
-  w.u64(m.registered_specs);
-  w.u64(m.plans_compiled);
-  w.u64(m.plans_loaded);
-  w.u64(m.plans_persisted);
-  w.u64(m.submitted);
-  w.u64(m.completed);
-  w.u64(m.cancelled);
-  w.u64(m.deadline_exceeded);
-  w.u64(m.rejected_busy);
-  w.u64(m.protocol_errors);
-  w.u64(m.sessions_opened);
-  w.u64(m.sessions_active);
-  w.u64(m.in_flight);
-  w.u64(m.arena_bytes);
-}
-
-bool decode_stats(std::span<const std::uint8_t> body, StatsMsg& out) {
-  WireReader r(body);
-  return r.u64(out.registered_specs) && r.u64(out.plans_compiled) &&
-         r.u64(out.plans_loaded) && r.u64(out.plans_persisted) &&
-         r.u64(out.submitted) && r.u64(out.completed) && r.u64(out.cancelled) &&
-         r.u64(out.deadline_exceeded) && r.u64(out.rejected_busy) &&
-         r.u64(out.protocol_errors) && r.u64(out.sessions_opened) &&
-         r.u64(out.sessions_active) && r.u64(out.in_flight) &&
-         r.u64(out.arena_bytes) && r.done();
-}
-
 void encode_metrics(const MetricsMsg& m, WireWriter& w) {
   const std::size_t n = std::min<std::size_t>(m.entries.size(), kMaxMetricEntries);
   w.u32(static_cast<std::uint32_t>(n));

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/wire.h"
@@ -201,23 +202,6 @@ struct CancelAckMsg {
   std::uint8_t found = 0;
 };
 
-struct StatsMsg {
-  std::uint64_t registered_specs = 0;  // distinct specs in the registry
-  std::uint64_t plans_compiled = 0;    // compile() calls (<= registers received)
-  std::uint64_t plans_loaded = 0;      // plans restored from the plan cache
-  std::uint64_t plans_persisted = 0;   // plan blobs written to the plan cache
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t rejected_busy = 0;
-  std::uint64_t protocol_errors = 0;
-  std::uint64_t sessions_opened = 0;
-  std::uint64_t sessions_active = 0;
-  std::uint64_t in_flight = 0;
-  std::uint64_t arena_bytes = 0;
-};
-
 /// One metric in a kMetrics reply. Counters/gauges carry `value`;
 /// histograms carry the per-bucket counts (buckets[i] = obs bucket i, the
 /// log2 layout of obs/histogram.h) and `value` = total count. Decoded
@@ -238,6 +222,14 @@ inline constexpr std::uint32_t kMaxMetricBuckets = 128;
 
 struct MetricsMsg {
   std::vector<MetricEntry> entries;
+
+  /// The entry named `name`, or nullptr.
+  const MetricEntry* find(std::string_view name) const noexcept {
+    for (const MetricEntry& e : entries) {
+      if (e.name == name) return &e;
+    }
+    return nullptr;
+  }
 };
 
 /// One slow-request record in a kSlow reply (obs/slow_ring.h on the wire).
@@ -308,8 +300,6 @@ void encode_cancel(const CancelMsg& m, WireWriter& w);
 bool decode_cancel(std::span<const std::uint8_t> body, CancelMsg& out);
 void encode_cancel_ack(const CancelAckMsg& m, WireWriter& w);
 bool decode_cancel_ack(std::span<const std::uint8_t> body, CancelAckMsg& out);
-void encode_stats(const StatsMsg& m, WireWriter& w);
-bool decode_stats(std::span<const std::uint8_t> body, StatsMsg& out);
 void encode_metrics(const MetricsMsg& m, WireWriter& w);
 bool decode_metrics(std::span<const std::uint8_t> body, MetricsMsg& out);
 void encode_slow(const SlowMsg& m, WireWriter& w);

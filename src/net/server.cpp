@@ -308,8 +308,8 @@ std::uint32_t Server::try_admit_global_n(std::uint32_t want) noexcept {
   }
 }
 
-StatsMsg Server::stats() const {
-  StatsMsg m;
+ServerStats Server::stats() const {
+  ServerStats m;
   {
     std::lock_guard<std::mutex> lk(reg_mu_);
     m.registered_specs = registry_.size();
@@ -333,7 +333,8 @@ StatsMsg Server::stats() const {
 MetricsMsg Server::metrics_msg() {
   MetricsMsg m;
   const std::vector<obs::Sample> samples = obs::registry().snapshot();
-  m.entries.reserve(samples.size() + 16);
+  m.entries.reserve(samples.size() + std::size(kServerStatsMetrics) +
+                    rt::Scheduler::kNumLanes);
   for (const obs::Sample& s : samples) {
     MetricEntry e;
     e.name = s.name;
@@ -345,9 +346,8 @@ MetricsMsg Server::metrics_msg() {
     m.entries.push_back(std::move(e));
   }
 
-  // Scrape-time derived gauges/counters: state that lives in the server or
-  // scheduler rather than in the registry. Counters here mirror the STATS
-  // atomics so one METRICS scrape is self-sufficient for nabbitc-top.
+  // Scrape-time entries: state that lives in the server or scheduler
+  // rather than in the registry, so one METRICS scrape is self-sufficient.
   const auto add = [&m](const char* name, obs::MetricKind kind,
                         std::uint64_t v) {
     MetricEntry e;
@@ -356,20 +356,11 @@ MetricsMsg Server::metrics_msg() {
     e.value = v;
     m.entries.push_back(std::move(e));
   };
+  const ServerStats st = stats();
+  for (const ServerStatsMetric& f : kServerStatsMetrics) {
+    add(f.name, f.kind, st.*f.field);
+  }
   using MK = obs::MetricKind;
-  add("net_sessions_active", MK::kGauge,
-      sessions_active_.load(std::memory_order_acquire));
-  add("net_inflight", MK::kGauge,
-      global_inflight_.load(std::memory_order_acquire));
-  add("net_submitted_total", MK::kCounter,
-      submitted_.load(std::memory_order_relaxed));
-  add("net_completed_total", MK::kCounter,
-      completed_.load(std::memory_order_relaxed));
-  add("net_busy_rejections_total", MK::kCounter,
-      rejected_busy_.load(std::memory_order_relaxed));
-  add("net_protocol_errors_total", MK::kCounter,
-      protocol_errors_.load(std::memory_order_relaxed));
-  add("rt_arena_bytes", MK::kGauge, runtime_.arena_bytes());
 
   std::uint32_t depths[rt::Scheduler::kNumLanes];
   runtime_.scheduler().lane_depths(depths);

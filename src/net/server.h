@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -31,6 +32,7 @@
 #include "net/protocol.h"
 #include "net/remote_graph.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 #include "obs/slow_ring.h"
 #include "persist/plan_cache.h"
 #include "plan/plan.h"
@@ -38,6 +40,62 @@
 namespace nabbitc::net {
 
 class Session;
+
+/// Snapshot of the daemon counters (Server::stats()). Over the wire, every
+/// field is a METRICS entry named by kServerStatsMetrics.
+struct ServerStats {
+  std::uint64_t registered_specs = 0;  // distinct specs in the registry
+  std::uint64_t plans_compiled = 0;    // compile() calls (<= registers received)
+  std::uint64_t plans_loaded = 0;      // plans restored from the plan cache
+  std::uint64_t plans_persisted = 0;   // plan blobs written to the plan cache
+  std::uint64_t submitted = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t cancelled = 0;
+  std::uint64_t deadline_exceeded = 0;
+  std::uint64_t rejected_busy = 0;
+  std::uint64_t protocol_errors = 0;
+  std::uint64_t sessions_opened = 0;
+  std::uint64_t sessions_active = 0;
+  std::uint64_t in_flight = 0;
+  std::uint64_t arena_bytes = 0;
+};
+
+/// The METRICS name and kind of one ServerStats field. This table is the
+/// one place a daemon counter gets its exported name.
+struct ServerStatsMetric {
+  const char* name;
+  obs::MetricKind kind;
+  std::uint64_t ServerStats::*field;
+};
+
+inline constexpr ServerStatsMetric kServerStatsMetrics[] = {
+    {"net_registered_specs", obs::MetricKind::kGauge,
+     &ServerStats::registered_specs},
+    {"net_plans_compiled_total", obs::MetricKind::kCounter,
+     &ServerStats::plans_compiled},
+    {"net_plans_loaded_total", obs::MetricKind::kCounter,
+     &ServerStats::plans_loaded},
+    {"net_plans_persisted_total", obs::MetricKind::kCounter,
+     &ServerStats::plans_persisted},
+    {"net_submitted_total", obs::MetricKind::kCounter, &ServerStats::submitted},
+    {"net_completed_total", obs::MetricKind::kCounter, &ServerStats::completed},
+    {"net_cancelled_total", obs::MetricKind::kCounter, &ServerStats::cancelled},
+    {"net_deadline_exceeded_total", obs::MetricKind::kCounter,
+     &ServerStats::deadline_exceeded},
+    {"net_busy_rejections_total", obs::MetricKind::kCounter,
+     &ServerStats::rejected_busy},
+    {"net_protocol_errors_total", obs::MetricKind::kCounter,
+     &ServerStats::protocol_errors},
+    {"net_sessions_opened_total", obs::MetricKind::kCounter,
+     &ServerStats::sessions_opened},
+    {"net_sessions_active", obs::MetricKind::kGauge,
+     &ServerStats::sessions_active},
+    {"net_inflight", obs::MetricKind::kGauge, &ServerStats::in_flight},
+    {"rt_arena_bytes", obs::MetricKind::kGauge, &ServerStats::arena_bytes},
+};
+static_assert(sizeof(ServerStats) ==
+                  std::size(kServerStatsMetrics) * sizeof(std::uint64_t),
+              "every ServerStats field needs a kServerStatsMetrics row");
 
 struct ServerOptions {
   /// The serving runtime (workers, variant, tracing...). Must be a
@@ -102,13 +160,13 @@ class Server {
 
   api::Runtime& runtime() noexcept { return runtime_; }
 
-  /// Snapshot of the daemon counters (the STATS reply).
-  StatsMsg stats() const;
+  /// Snapshot of the daemon counters.
+  ServerStats stats() const;
 
   /// The METRICS reply: the full obs::registry() dump (every counter,
-  /// gauge, and histogram any layer recorded) plus server-derived gauges
-  /// that only exist at scrape time — lane depths, arena bytes, session /
-  /// in-flight occupancy, and per-plan instance-pool fill.
+  /// gauge, and histogram any layer recorded), every stats() field (see
+  /// kServerStatsMetrics), and gauges that only exist at scrape time —
+  /// lane depths and per-plan instance-pool fill.
   MetricsMsg metrics_msg();
 
   /// The SLOW reply: the slow-request ring, slowest first.
@@ -190,7 +248,7 @@ class Server {
   /// Non-null iff opts_.plan_cache_dir is set.
   std::unique_ptr<persist::PlanCacheDir> plan_cache_;
 
-  // Daemon counters (the STATS frame).
+  // Daemon counters (stats()).
   std::atomic<std::uint64_t> plans_compiled_{0};
   std::atomic<std::uint64_t> plans_loaded_{0};
   std::atomic<std::uint64_t> plans_persisted_{0};

@@ -150,8 +150,6 @@ bool Session::dispatch(const FrameAssembler::Frame& f) {
       return handle_status_req(body);
     case FrameType::kCancel:
       return handle_cancel(body);
-    case FrameType::kStatsReq:
-      return handle_stats();
     case FrameType::kMetricsReq:
       return handle_metrics();
     case FrameType::kSlowReq:
@@ -382,12 +380,6 @@ bool Session::handle_cancel(std::span<const std::uint8_t> body) {
   WireWriter w;
   encode_cancel_ack(m, w);
   return send(FrameType::kCancelAck, w);
-}
-
-bool Session::handle_stats() {
-  WireWriter w;
-  encode_stats(server_.stats(), w);
-  return send(FrameType::kStats, w);
 }
 
 bool Session::handle_metrics() {

@@ -68,7 +68,6 @@ class Session {
   bool handle_submit_batch(std::span<const std::uint8_t> body);
   bool handle_status_req(std::span<const std::uint8_t> body);
   bool handle_cancel(std::span<const std::uint8_t> body);
-  bool handle_stats();
   bool handle_metrics();
   bool handle_slow();
 

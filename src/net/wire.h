@@ -33,7 +33,9 @@ inline constexpr std::uint8_t kWireMagic1 = 'B';
 // v2: STATS gained plans_loaded/plans_persisted (plan-cache counters).
 // v3: added METRICS_REQ/METRICS (full registry dump) and SLOW_REQ/SLOW
 //     (slow-request ring with per-stage timestamps). STATS is unchanged.
-inline constexpr std::uint8_t kWireVersion = 3;
+// v4: retired STATS_REQ/STATS (types 5 and 70, now unknown): METRICS
+//     carries every server counter STATS had, under net_* names.
+inline constexpr std::uint8_t kWireVersion = 4;
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 /// Upper bound on one frame body. Large enough for a maximal REGISTER
 /// (kMaxWireNodes nodes, protocol.h), small enough that a hostile length
@@ -50,7 +52,6 @@ enum class FrameType : std::uint8_t {
   kSubmit = 2,     // SubmitRequest      -> kSubmitted | kBusy | kError
   kStatusReq = 3,  // exec id            -> kStatus
   kCancel = 4,     // exec id            -> kCancelAck
-  kStatsReq = 5,   // (empty)            -> kStats
   kSubmitBatch = 6,  // SubmitBatchRequest -> kSubmittedBatch | kError
   kMetricsReq = 7,   // (empty)            -> kMetrics
   kSlowReq = 8,      // (empty)            -> kSlow
@@ -61,15 +62,16 @@ enum class FrameType : std::uint8_t {
   kResult = 67,  // pushed on completion/cancellation/deadline
   kStatus = 68,
   kCancelAck = 69,
-  kStats = 70,
   kError = 71,
   kSubmittedBatch = 72,  // exec ids for the admitted prefix of a kSubmitBatch
   kMetrics = 73,
   kSlow = 74,
 };
 
+/// 5 and 70 (the v3 STATS pair) stay unassigned: a peer still sending
+/// them gets unknown_type, not a misparse.
 inline constexpr bool frame_type_known(std::uint8_t t) noexcept {
-  return (t >= 1 && t <= 8) || (t >= 64 && t <= 74);
+  return ((t >= 1 && t <= 8) || (t >= 64 && t <= 74)) && t != 5 && t != 70;
 }
 
 inline constexpr const char* frame_type_name(FrameType t) noexcept {
@@ -78,7 +80,6 @@ inline constexpr const char* frame_type_name(FrameType t) noexcept {
     case FrameType::kSubmit: return "SUBMIT";
     case FrameType::kStatusReq: return "STATUS_REQ";
     case FrameType::kCancel: return "CANCEL";
-    case FrameType::kStatsReq: return "STATS_REQ";
     case FrameType::kSubmitBatch: return "SUBMIT_BATCH";
     case FrameType::kMetricsReq: return "METRICS_REQ";
     case FrameType::kSlowReq: return "SLOW_REQ";
@@ -88,7 +89,6 @@ inline constexpr const char* frame_type_name(FrameType t) noexcept {
     case FrameType::kResult: return "RESULT";
     case FrameType::kStatus: return "STATUS";
     case FrameType::kCancelAck: return "CANCEL_ACK";
-    case FrameType::kStats: return "STATS";
     case FrameType::kSubmittedBatch: return "SUBMITTED_BATCH";
     case FrameType::kMetrics: return "METRICS";
     case FrameType::kSlow: return "SLOW";
@@ -194,7 +194,11 @@ class WireWriter {
   std::vector<std::uint8_t> frame(FrameType type) const {
     std::vector<std::uint8_t> out(kFrameHeaderBytes + buf_.size());
     write_frame_header(out.data(), type, static_cast<std::uint32_t>(buf_.size()));
-    std::memcpy(out.data() + kFrameHeaderBytes, buf_.data(), buf_.size());
+    // An empty body's data() may be null, and memcpy from null is UB even
+    // for zero bytes (METRICS_REQ and SLOW_REQ have empty bodies).
+    if (!buf_.empty()) {
+      std::memcpy(out.data() + kFrameHeaderBytes, buf_.data(), buf_.size());
+    }
     return out;
   }
 

@@ -98,8 +98,6 @@ void PlanInstance::reset_for_replay() noexcept {
   }
   computed_.store(0, std::memory_order_relaxed);
   skipped_.store(0, std::memory_order_relaxed);
-  state_.finalized = false;
-  state_.attributable = false;
   state_.t_submit_ns = 0;
   state_.t_done_ns = 0;
 }

@@ -42,7 +42,11 @@ namespace nabbitc::rt {
 
 class JobArena {
  public:
-  explicit JobArena(std::size_t block_bytes = 1 << 16) : block_bytes_(block_bytes) {}
+  /// Maps the first block up front: a worker's first frame never
+  /// heap-allocates, however late in a run its first steal comes.
+  explicit JobArena(std::size_t block_bytes = 1 << 16) : block_bytes_(block_bytes) {
+    free_.push_back(map_block());
+  }
 
   JobArena(const JobArena&) = delete;
   JobArena& operator=(const JobArena&) = delete;
@@ -51,6 +55,15 @@ class JobArena {
   /// block with the arena's frame epoch (see set_epoch).
   void* allocate(std::size_t bytes, std::size_t align = alignof(std::max_align_t)) {
     NABBITC_CHECK_MSG(bytes <= block_bytes_, "allocation larger than arena block");
+    // A newer job's first frame in a block whose every frame is dead
+    // restarts the block, so back-to-back jobs reuse it even when this
+    // worker never parked (and so never rewound) in between.
+    if (current_ != nullptr && epoch_ > blocks_[live_.back()].stamp &&
+        completed_upto_ != nullptr &&
+        blocks_[live_.back()].stamp <=
+            completed_upto_->load(std::memory_order_acquire)) {
+      offset_ = 0;
+    }
     std::size_t off = round_up(offset_, align);
     if (current_ == nullptr || off + bytes > block_bytes_) {
       advance_block();
@@ -115,6 +128,17 @@ class JobArena {
     return bytes_held_.load(std::memory_order_relaxed);
   }
 
+  /// Bytes of opened blocks stamped above `completed_upto` (the reclamation
+  /// watermark): storage some unfinished job may still reference. Reads
+  /// owner-thread state — only while the owning worker is parked.
+  std::size_t live_bytes(std::uint64_t completed_upto) const noexcept {
+    std::size_t n = 0;
+    for (std::uint32_t idx : live_) {
+      if (blocks_[idx].stamp > completed_upto) n += block_bytes_;
+    }
+    return n;
+  }
+
  private:
   struct Block {
     std::unique_ptr<std::byte[]> mem;
@@ -145,17 +169,22 @@ class JobArena {
       idx = free_.back();
       free_.pop_back();
     } else {
-      blocks_.push_back(Block{std::make_unique<std::byte[]>(block_bytes_), 0});
-      bytes_held_.store(blocks_.size() * block_bytes_, std::memory_order_relaxed);
-      idx = static_cast<std::uint32_t>(blocks_.size() - 1);
-      // Keep the index lists' capacity >= block count so the hot-path moves
-      // between live_ and free_ never heap-allocate.
-      live_.reserve(blocks_.size());
-      free_.reserve(blocks_.size());
+      idx = map_block();
     }
     live_.push_back(idx);
     current_ = blocks_[idx].mem.get();
     offset_ = 0;
+  }
+
+  /// Maps one more block and returns its index (not yet on either list).
+  std::uint32_t map_block() {
+    blocks_.push_back(Block{std::make_unique<std::byte[]>(block_bytes_), 0});
+    bytes_held_.store(blocks_.size() * block_bytes_, std::memory_order_relaxed);
+    // Keep the index lists' capacity >= block count so the hot-path moves
+    // between live_ and free_ never heap-allocate.
+    live_.reserve(blocks_.size());
+    free_.reserve(blocks_.size());
+    return static_cast<std::uint32_t>(blocks_.size() - 1);
   }
 
   std::size_t block_bytes_;

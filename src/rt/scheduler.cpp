@@ -633,15 +633,19 @@ void Scheduler::wait_batch(RootJob* const* jobs, std::size_t n,
   }
 }
 
-void Scheduler::wait_idle() {
+std::unique_lock<std::mutex> Scheduler::lock_idle() {
   NABBITC_CHECK_MSG(current() == nullptr,
-                    "Scheduler::wait_idle must not be called from a worker thread");
+                    "Scheduler: idle waits must not be called from a worker "
+                    "thread");
   std::unique_lock<std::mutex> lk(mu_);
   cv_done_.wait(lk, [&] {
     return active_jobs_.load(std::memory_order_acquire) == 0 &&
            parked_workers_.load(std::memory_order_acquire) == num_workers();
   });
+  return lk;
 }
+
+void Scheduler::wait_idle() { lock_idle(); }
 
 void Scheduler::execute(std::function<void(Worker&)> root) {
   NABBITC_CHECK_MSG(current() == nullptr,
@@ -828,18 +832,19 @@ WorkerCounters Scheduler::aggregate_counters() const {
 }
 
 WorkerCounters Scheduler::aggregate_counters_idle() {
-  NABBITC_CHECK_MSG(current() == nullptr,
-                    "Scheduler::aggregate_counters_idle must not be called "
-                    "from a worker thread");
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_done_.wait(lk, [&] {
-    return active_jobs_.load(std::memory_order_acquire) == 0 &&
-           parked_workers_.load(std::memory_order_acquire) == num_workers();
-  });
-  // All workers are inside cv_start_.wait(mu_) and we hold mu_: none can
-  // resume (let alone touch its counters) before this merge finishes.
+  // Every worker is parked and we hold mu_: none can resume (let alone
+  // touch its counters) before this merge finishes.
+  const auto lk = lock_idle();
   WorkerCounters total;
   for (const auto& w : workers_) total.merge(w->counters());
+  return total;
+}
+
+std::size_t Scheduler::frame_arena_live_bytes_idle() {
+  const auto lk = lock_idle();
+  const std::uint64_t upto = frames_completed_upto();
+  std::size_t total = 0;
+  for (const auto& w : workers_) total += w->arena_.live_bytes(upto);
   return total;
 }
 

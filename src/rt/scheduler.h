@@ -1,9 +1,9 @@
 // The work-stealing scheduler: workers, job lifecycle, steal loop.
 //
 // This is the from-scratch replacement for the modified GCC Cilk Plus
-// runtime of the paper (see DESIGN.md for the mapping). One OS thread per
-// worker; each worker owns a Chase-Lev deque whose entries advertise color
-// masks; thieves run the colored-steal policy of SectionIII.
+// runtime of the paper (see "Paper mapping" in README.md). One OS thread
+// per worker; each worker owns a Chase-Lev deque whose entries advertise
+// color masks; thieves run the colored-steal policy of SectionIII.
 //
 // Job model: the scheduler is a persistent service. Clients enqueue root
 // jobs with submit() — from any thread, concurrently — and each root is
@@ -395,6 +395,11 @@ class Scheduler {
   WorkerCounters aggregate_counters_idle();
   void reset_counters();
 
+  /// Quiescent snapshot (same protocol as aggregate_counters_idle) of the
+  /// arena bytes stamped above frames_completed_upto(): 0 unless some
+  /// finished job's frame epoch never retired.
+  std::size_t frame_arena_live_bytes_idle();
+
   /// True iff this scheduler records trace events.
   bool tracing() const noexcept { return !trace_rings_.empty(); }
   /// Worker i's event ring, or nullptr when tracing is disabled. Reading
@@ -407,18 +412,6 @@ class Scheduler {
 
   /// The worker owned by the calling thread, or nullptr off the pool.
   static Worker* current() noexcept;
-
-  /// True while any submitted job has not completed.
-  bool job_active() const noexcept {
-    return active_jobs_.load(std::memory_order_acquire) > 0;
-  }
-
-  /// Monotone count of submissions so far. Lets clients detect whether any
-  /// other job was submitted inside an interval (api::Execution counter
-  /// attribution).
-  std::uint32_t submissions() const noexcept {
-    return submit_epoch_.load(std::memory_order_acquire);
-  }
 
   /// Scrape-time lane depths: spliced-FIFO length per lane (takes mu_ and
   /// splices the submit rings first, so queued-but-unspliced roots are
@@ -468,6 +461,10 @@ class Scheduler {
   /// registry's atomics make the published totals safe to scrape live
   /// (unlike the plain fields, which need aggregate_counters_idle).
   void flush_worker_obs(Worker& w) noexcept;
+  /// Waits for full quiescence (no active job, every worker parked) and
+  /// returns the lock that keeps it: parked workers sit in
+  /// cv_start_.wait(mu_) and cannot resume while the caller holds it.
+  std::unique_lock<std::mutex> lock_idle();
 
   /// Registry metric handles, resolved once at construction (the registry
   /// lookup takes a mutex; these records must not).

@@ -214,11 +214,10 @@ TEST(Runtime, SerializedSubmissionCountersAreAttributable) {
   Runtime rt(opts);
   WaveGrid g(16, 42);
   WaveSpec spec(&g);
-  Execution e = rt.run(spec, key_pack(15, 15));
-  EXPECT_TRUE(e.counters_attributable());
-  const rt::WorkerCounters& c = e.counters();
-  // 256 nodes => at least that many locality samples in this execution's
-  // delta window.
+  rt.reset_counters();
+  rt.run(spec, key_pack(15, 15));
+  const rt::WorkerCounters c = rt.counters();
+  // 256 nodes => exactly that many locality samples since the reset.
   EXPECT_EQ(c.locality.nodes, 256u);
   EXPECT_GT(c.spawns, 0u);
 }
@@ -240,43 +239,6 @@ TEST(Runtime, NestedSubmissionFromWorkerHelpsInsteadOfDeadlocking) {
   });
   EXPECT_EQ(nodes, 100u);
   EXPECT_EQ(g.checksum(), WaveGrid::expected_checksum(10, 5));
-}
-
-TEST(Runtime, ResetCountersVoidsAttributionInsteadOfUnderflowing) {
-  // reset_counters() between an execution and its counters() call destroys
-  // the delta's base snapshot: the handle must flag that and report zeros,
-  // not wrapped uint64s.
-  RuntimeOptions opts;
-  opts.workers = 2;
-  Runtime rt(opts);
-  WaveGrid g(12, 9);
-  WaveSpec spec(&g);
-  Execution e = rt.run(spec, key_pack(11, 11));
-  rt.reset_counters();
-  EXPECT_FALSE(e.counters_attributable());
-  const rt::WorkerCounters& c = e.counters();
-  EXPECT_EQ(c.tasks_executed, 0u);
-  EXPECT_EQ(c.locality.nodes, 0u);
-  EXPECT_FALSE(e.counters_attributable());
-}
-
-TEST(Runtime, CountersNotAttributableOncePollutedByLaterExecution) {
-  // Regression: e1's delta is only materialized at the first counters()
-  // call; if another execution ran in between, its work would be folded
-  // into e1's delta — the handle must flag that instead of lying.
-  RuntimeOptions opts;
-  opts.workers = 2;
-  Runtime rt(opts);
-  WaveGrid g1(12, 1), g2(12, 2);
-  WaveSpec s1(&g1), s2(&g2);
-  Execution e1 = rt.run(s1, key_pack(11, 11));
-  Execution e2 = rt.run(s2, key_pack(11, 11));
-  e1.counters();
-  EXPECT_FALSE(e1.counters_attributable());
-  // e2's window is clean: nothing was submitted after it.
-  const rt::WorkerCounters& c2 = e2.counters();
-  EXPECT_TRUE(e2.counters_attributable());
-  EXPECT_EQ(c2.locality.nodes, 144u);
 }
 
 TEST(Runtime, PersistentRuntimeServesManySequentialSubmissions) {
@@ -395,30 +357,22 @@ TEST(Runtime, TraceSliceCoversExecutionWindow) {
 // ----------------------------------------------------------- static graphs
 
 TEST(Runtime, StaticGraphFollowsVariant) {
+  // A fully-known graph runs as a compiled plan, whose spawn semantics
+  // (colored or not) come from the runtime's variant like submit()'s
+  // executor class does.
   for (Variant v : {Variant::kNabbit, Variant::kNabbitC}) {
     RuntimeOptions opts;
     opts.workers = 2;
     opts.variant = v;
     Runtime rt(opts);
-    auto ex = rt.static_graph();
-    std::atomic<int> computes{0};
-    struct N final : TaskGraphNode {
-      std::atomic<int>* c = nullptr;
-      std::vector<Key> ps;
-      void init(ExecContext&) override {
-        for (Key p : ps) add_predecessor(p);
-      }
-      void compute(ExecContext&) override { c->fetch_add(1); }
-    };
-    for (Key k = 0; k < 10; ++k) {
-      auto n = std::make_unique<N>();
-      n->c = &computes;
-      if (k > 0) n->ps.push_back(k - 1);
-      ex->add_node(k, static_cast<Color>(k % 2), std::move(n));
-    }
-    ex->prepare();
-    ex->run();
-    EXPECT_EQ(computes.load(), 10) << variant_name(v);
+    WaveGrid g(10, 4);
+    WaveSpec spec(&g);
+    auto plan = rt.compile(spec, key_pack(9, 9));
+    EXPECT_EQ(plan->colored(), v == Variant::kNabbitC) << variant_name(v);
+    Execution e = rt.run(*plan);
+    EXPECT_EQ(e.nodes_computed(), 100u) << variant_name(v);
+    EXPECT_EQ(g.checksum(), WaveGrid::expected_checksum(10, 4))
+        << variant_name(v);
   }
 }
 

@@ -484,101 +484,6 @@ TEST(DynamicExecutor, SingleNodeGraph) {
   EXPECT_EQ(rec.computes.load(), 1);
 }
 
-// ---------------------------------------------------------- static executor
-
-TEST(StaticExecutor, DiamondGraph) {
-  api::RuntimeOptions opts;
-  opts.workers = 4;
-  opts.variant = api::Variant::kNabbit;  // plain static executor
-  api::Runtime rt(opts);
-  auto exp = rt.static_graph();
-  StaticExecutor& ex = *exp;
-
-  OrderRecorder rec;
-  struct N final : TaskGraphNode {
-    OrderRecorder* rec;
-    std::vector<Key> ps;
-    void init(ExecContext&) override {
-      for (Key p : ps) add_predecessor(p);
-    }
-    void compute(ExecContext&) override { rec->record(key()); }
-  };
-  auto mk = [&](std::vector<Key> ps) {
-    auto n = std::make_unique<N>();
-    n->rec = &rec;
-    n->ps = std::move(ps);
-    return n;
-  };
-  ex.add_node(0, 0, mk({}));
-  ex.add_node(1, 1, mk({0}));
-  ex.add_node(2, 2, mk({0}));
-  ex.add_node(3, 3, mk({1, 2}));
-  ex.prepare();
-  EXPECT_EQ(ex.num_roots(), 1u);
-  ex.run();
-  ASSERT_EQ(rec.order.size(), 4u);
-  EXPECT_EQ(rec.order.front(), 0u);
-  EXPECT_EQ(rec.order.back(), 3u);
-  for (Key k = 0; k < 4; ++k) EXPECT_TRUE(ex.find(k)->computed());
-}
-
-TEST(StaticExecutor, ResetAllowsRerun) {
-  api::RuntimeOptions opts;
-  opts.workers = 2;
-  opts.variant = api::Variant::kNabbit;
-  api::Runtime rt(opts);
-  auto exp = rt.static_graph();
-  StaticExecutor& ex = *exp;
-  std::atomic<int> computes{0};
-  struct N final : TaskGraphNode {
-    std::atomic<int>* c;
-    Key pred;
-    bool has_pred;
-    void init(ExecContext&) override {
-      if (has_pred) add_predecessor(pred);
-    }
-    void compute(ExecContext&) override { c->fetch_add(1); }
-  };
-  for (Key k = 0; k < 20; ++k) {
-    auto n = std::make_unique<N>();
-    n->c = &computes;
-    n->has_pred = k > 0;
-    n->pred = k > 0 ? k - 1 : 0;
-    ex.add_node(k, static_cast<numa::Color>(k % 2), std::move(n));
-  }
-  ex.prepare();
-  ex.run();
-  EXPECT_EQ(computes.load(), 20);
-  ex.reset();
-  ex.run();
-  EXPECT_EQ(computes.load(), 40);
-}
-
-TEST(StaticExecutorDeath, MissingPredecessorAborts) {
-  api::RuntimeOptions opts;
-  opts.workers = 1;
-  opts.variant = api::Variant::kNabbit;
-  api::Runtime rt(opts);
-  auto exp = rt.static_graph();
-  StaticExecutor& ex = *exp;
-  struct N final : TaskGraphNode {
-    void init(ExecContext&) override { add_predecessor(999); }
-    void compute(ExecContext&) override {}
-  };
-  ex.add_node(0, 0, std::make_unique<N>());
-  EXPECT_DEATH(ex.prepare(), "never added");
-}
-
-TEST(StaticExecutorDeath, DuplicateKeyAborts) {
-  api::RuntimeOptions opts;
-  opts.workers = 1;
-  opts.variant = api::Variant::kNabbit;
-  api::Runtime rt(opts);
-  auto exp = rt.static_graph();
-  exp->add_node(1, 0, std::make_unique<NopNode>());
-  EXPECT_DEATH(exp->add_node(1, 0, std::make_unique<NopNode>()), "duplicate");
-}
-
 // -------------------------------------------------------------------- keys
 
 TEST(Keys, PackUnpackRoundTrip) {

@@ -281,37 +281,6 @@ TEST(ColoredExecutor, InvalidColoringDisablesColoredSteals) {
   EXPECT_EQ(agg.steals_colored, 0u);
 }
 
-TEST(ColoredStaticExecutor, RunsColoredGraph) {
-  api::RuntimeOptions opts;
-  opts.workers = 4;
-  opts.topology = numa::Topology(2, 2);
-  api::Runtime rt(opts);  // kNabbitC default -> colored static executor
-  auto exp = rt.static_graph();
-  StaticExecutor& ex = *exp;
-  std::atomic<int> computes{0};
-  struct N final : TaskGraphNode {
-    std::atomic<int>* c;
-    std::vector<Key> ps;
-    void init(ExecContext&) override {
-      for (Key p : ps) add_predecessor(p);
-    }
-    void compute(ExecContext&) override { c->fetch_add(1); }
-  };
-  // Two-level fan: 0..15 roots, 16 depends on all.
-  for (Key k = 0; k < 16; ++k) {
-    auto n = std::make_unique<N>();
-    n->c = &computes;
-    ex.add_node(k, static_cast<numa::Color>(k % 4), std::move(n));
-  }
-  auto sinkn = std::make_unique<N>();
-  sinkn->c = &computes;
-  for (Key k = 0; k < 16; ++k) sinkn->ps.push_back(k);
-  ex.add_node(16, 0, std::move(sinkn));
-  ex.prepare();
-  ex.run();
-  EXPECT_EQ(computes.load(), 17);
-}
-
 TEST(ColoredExecutor, StealsAreColoredUnderGoodColoring) {
   // With abundant same-color work and the NabbitC policy, the successful
   // steals that do happen should be predominantly colored.

@@ -64,9 +64,13 @@ TEST(WireFrame, HeaderRejectsMagicVersionTypeAndOversize) {
   hdr[2] = kWireVersion + 1;
   EXPECT_EQ(parse_frame_header(hdr, out), HeaderStatus::kBadVersion);
 
-  write_frame_header(hdr, FrameType::kSubmit, 0);
-  hdr[3] = 42;  // not a FrameType
-  EXPECT_EQ(parse_frame_header(hdr, out), HeaderStatus::kUnknownType);
+  // 42 was never a FrameType; 5 and 70 were STATS_REQ/STATS until v4.
+  for (const std::uint8_t t : {42, 5, 70}) {
+    write_frame_header(hdr, FrameType::kSubmit, 0);
+    hdr[3] = t;
+    EXPECT_EQ(parse_frame_header(hdr, out), HeaderStatus::kUnknownType)
+        << int{t};
+  }
 
   write_frame_header(hdr, FrameType::kSubmit, kMaxFrameBody + 1);
   EXPECT_EQ(parse_frame_header(hdr, out), HeaderStatus::kOversized);
@@ -103,7 +107,7 @@ TEST(WireFrame, AssemblerErrorIsSticky) {
   EXPECT_EQ(hs, HeaderStatus::kBadMagic);
   // Even valid bytes afterwards cannot resynchronize the stream.
   WireWriter body;
-  const auto good = frame_bytes(FrameType::kStatsReq, body);
+  const auto good = frame_bytes(FrameType::kMetricsReq, body);
   a.feed(good.data(), good.size());
   EXPECT_EQ(a.next(f, &hs), FrameAssembler::Result::kError);
   EXPECT_TRUE(a.broken());
@@ -145,21 +149,6 @@ TEST(WireProtocol, MessageRoundTrips) {
     ASSERT_TRUE(decode_result(w.span(), out));
     EXPECT_EQ(out.exec_id, 1u);
     EXPECT_EQ(out.latency_ns, 7u);
-  }
-  {
-    StatsMsg in;
-    in.registered_specs = 3;
-    in.plans_loaded = 2;     // v2 fields: plan-cache counters
-    in.plans_persisted = 5;
-    in.arena_bytes = 1 << 20;
-    WireWriter w;
-    encode_stats(in, w);
-    StatsMsg out;
-    ASSERT_TRUE(decode_stats(w.span(), out));
-    EXPECT_EQ(out.registered_specs, 3u);
-    EXPECT_EQ(out.plans_loaded, 2u);
-    EXPECT_EQ(out.plans_persisted, 5u);
-    EXPECT_EQ(out.arena_bytes, 1u << 20);
   }
   {
     ErrorMsg in{static_cast<std::uint8_t>(ErrCode::kBadRegister),
@@ -498,8 +487,8 @@ TEST(WireFuzz, RandomBytesProduceCleanErrorsNotCrashes) {
       (void)decode_result(body, res);
       StatusMsg st;
       (void)decode_status(body, st);
-      StatsMsg stats;
-      (void)decode_stats(body, stats);
+      MetricsMsg metrics;
+      (void)decode_metrics(body, metrics);
       ErrorMsg em;
       (void)decode_error(body, em);
       std::uint64_t id;
@@ -611,12 +600,11 @@ TEST(NetService, RegisterSubmitResultOverUnix) {
   EXPECT_EQ(res->result, wire_result(expected_sink_value(g), payload));
   EXPECT_GT(res->latency_ns, 0u);
 
-  const auto stats = c.stats();
-  ASSERT_TRUE(stats) << c.last_error();
-  EXPECT_EQ(stats->registered_specs, 1u);
-  EXPECT_EQ(stats->plans_compiled, 1u);
-  EXPECT_EQ(stats->submitted, 1u);
-  EXPECT_EQ(stats->completed, 1u);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.registered_specs, 1u);
+  EXPECT_EQ(stats.plans_compiled, 1u);
+  EXPECT_EQ(stats.submitted, 1u);
+  EXPECT_EQ(stats.completed, 1u);
   server.stop();
 }
 
@@ -643,12 +631,7 @@ TEST(NetService, MetricsAndSlowCaptureOverUnix) {
 
   const auto m = c.metrics();
   ASSERT_TRUE(m) << c.last_error();
-  const auto find = [&](const char* name) -> const MetricEntry* {
-    for (const MetricEntry& e : m->entries) {
-      if (e.name == name) return &e;
-    }
-    return nullptr;
-  };
+  const auto find = [&](const char* name) { return m->find(name); };
   // The registry is process-global (other tests in this binary also push
   // submissions through sessions), so counts are >=, not ==.
   const MetricEntry* sc = find("submit_complete_ns");
@@ -757,11 +740,10 @@ TEST(NetService, SharedPlanCompiledOnceAcrossSessions) {
     EXPECT_EQ(res_a->sink_value, expected_sink_value(g));
     EXPECT_EQ(res_b->sink_value, expected_sink_value(g));
   }
-  const auto stats = a.stats();
-  ASSERT_TRUE(stats);
-  EXPECT_EQ(stats->registered_specs, 1u);
-  EXPECT_EQ(stats->plans_compiled, 1u);  // compiled exactly once
-  EXPECT_EQ(stats->sessions_opened, 2u);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.registered_specs, 1u);
+  EXPECT_EQ(stats.plans_compiled, 1u);  // compiled exactly once
+  EXPECT_EQ(stats.sessions_opened, 2u);
   server.stop();
 }
 
@@ -778,9 +760,11 @@ TEST(NetService, UnknownHandleKeepsSessionAlive) {
   EXPECT_NE(c.last_error().find("unknown_handle"), std::string::npos)
       << c.last_error();
   // The session survived the logic error; the connection still works.
-  const auto stats = c.stats();
-  ASSERT_TRUE(stats) << c.last_error();
-  EXPECT_EQ(stats->submitted, 0u);
+  const auto m = c.metrics();
+  ASSERT_TRUE(m) << c.last_error();
+  const MetricEntry* submitted = m->find("net_submitted_total");
+  ASSERT_NE(submitted, nullptr);
+  EXPECT_EQ(submitted->value, 0u);
   server.stop();
 }
 
@@ -839,9 +823,7 @@ TEST(NetService, BusyBackpressurePerSessionAndGlobal) {
   const auto s3 = b.submit(reg_b->handle, 12, api::Priority::kNormal);
   ASSERT_TRUE(s3 && s3->accepted) << b.last_error();
   ASSERT_TRUE(b.wait_result(s3->exec_id));
-  const auto stats = a.stats();
-  ASSERT_TRUE(stats);
-  EXPECT_GE(stats->rejected_busy, 2u);
+  EXPECT_GE(server.stats().rejected_busy, 2u);
   server.stop();
 }
 
@@ -889,9 +871,7 @@ TEST(NetService, BatchSubmitDeliversPerItemResults) {
       EXPECT_EQ(r->result, wire_result(expected_sink_value(g), items[i].payload));
     }
   }
-  const auto stats = c.stats();
-  ASSERT_TRUE(stats);
-  EXPECT_EQ(stats->submitted, 5u);
+  EXPECT_EQ(server.stats().submitted, 5u);
 
   // Client-side validation: an empty batch never hits the wire.
   EXPECT_FALSE(c.submit_batch(reg->handle, {}));
@@ -899,7 +879,7 @@ TEST(NetService, BatchSubmitDeliversPerItemResults) {
   EXPECT_FALSE(c.submit_batch(0xbad0, items));
   EXPECT_NE(c.last_error().find("unknown_handle"), std::string::npos)
       << c.last_error();
-  ASSERT_TRUE(c.stats()) << c.last_error();
+  ASSERT_TRUE(c.metrics()) << c.last_error();
   server.stop();
 }
 
@@ -958,9 +938,7 @@ TEST(NetService, BatchAdmissionAdmitsPrefixAndReportsScope) {
   for (const std::uint64_t id : again->exec_ids) {
     ASSERT_TRUE(b.wait_result(id));
   }
-  const auto stats = a.stats();
-  ASSERT_TRUE(stats);
-  EXPECT_GE(stats->rejected_busy, 5u);
+  EXPECT_GE(server.stats().rejected_busy, 5u);
   server.stop();
 }
 
@@ -1021,30 +999,8 @@ TEST(NetService, MalformedFrameGetsErrorReplyAndClose) {
   ASSERT_TRUE(c.send_raw(junk, sizeof(junk)));
   // The next call observes the pushed ERROR frame — or, if the session
   // already closed, a transport failure. Either way the call fails.
-  const auto stats = c.stats();
-  EXPECT_FALSE(stats.has_value());
+  EXPECT_FALSE(c.metrics().has_value());
 
-  const std::uint64_t deadline = now_ns() + 5'000'000'000ull;
-  while (server.stats().protocol_errors == 0 && now_ns() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(server.stats().protocol_errors, 1u);
-  server.stop();
-}
-
-TEST(NetService, ReplyFrameTypeFromClientIsRejected) {
-  const std::string path = unique_sock_path("reply");
-  Server server(test_opts(path));
-  std::string err;
-  ASSERT_TRUE(server.start(&err)) << err;
-
-  Client c;
-  ASSERT_TRUE(c.connect_unix(path));
-  WireWriter body;  // a syntactically-valid frame of a server->client type
-  const auto frame = body.frame(FrameType::kStats);
-  ASSERT_TRUE(c.send_raw(frame.data(), frame.size()));
-  const auto stats = c.stats();
-  EXPECT_FALSE(stats.has_value());
   const std::uint64_t deadline = now_ns() + 5'000'000'000ull;
   while (server.stats().protocol_errors == 0 && now_ns() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -1055,8 +1011,8 @@ TEST(NetService, ReplyFrameTypeFromClientIsRejected) {
 
 // Satellite: dropping a client mid-flight — with submissions in every
 // priority lane — cancels exactly that session's work; the surviving
-// session's results stay bitwise-correct and the PR-5 fuzz-harness
-// invariants (sink untouched, arena watermark, instance pool stable) hold.
+// session's results stay bitwise-correct and the fuzz-harness invariants
+// (sink untouched, no live arena block, instance pool stable) hold.
 TEST(NetDisconnect, CancelsOnlyThatSessionsExecutions) {
   const std::string path = unique_sock_path("disc");
   ServerOptions o = test_opts(path);
@@ -1092,7 +1048,6 @@ TEST(NetDisconnect, CancelsOnlyThatSessionsExecutions) {
   const plan::GraphPlan* plan = server.debug_plan(reg->handle);
   ASSERT_NE(plan, nullptr);
   ASSERT_TRUE(wait_for_pool_quiescent(plan, 10'000));
-  const std::size_t warm_arena = server.runtime().arena_bytes();
   const std::size_t warm_instances = plan->instances_built();
 
   // Disconnect phase: victim and survivor each submit 6 (2 per lane).
@@ -1135,7 +1090,7 @@ TEST(NetDisconnect, CancelsOnlyThatSessionsExecutions) {
   ASSERT_TRUE(wait_for_zero_inflight(server, 10'000));
   server.runtime().wait_idle();
   ASSERT_TRUE(wait_for_pool_quiescent(plan, 10'000));
-  const StatsMsg stats = server.stats();
+  const ServerStats stats = server.stats();
   EXPECT_EQ(stats.submitted, 24u);
   // All 24 reached a terminal state; the victim's 6 are the only candidates
   // for cancellation and the survivor's 6 (+12 warm) all completed.
@@ -1143,10 +1098,10 @@ TEST(NetDisconnect, CancelsOnlyThatSessionsExecutions) {
   EXPECT_GE(stats.completed, 18u);
 
   // PR-5 fuzz-harness invariants, across the disconnect: the cancelled
-  // session's executions released everything they held, so the second wave
-  // of 12 concurrent replays fit in the instances and arena the warm wave
-  // established.
-  EXPECT_LE(server.runtime().arena_bytes(), warm_arena);
+  // session's executions released everything they held: the second wave of
+  // 12 concurrent replays fit in the instances the warm wave established,
+  // and no frame-arena block is still live.
+  EXPECT_EQ(server.runtime().arena_live_bytes(), 0u);
   EXPECT_LE(plan->instances_built(), warm_instances);
 
   // Replay-after-cancel on the same shared plan is still bitwise-correct.
@@ -1192,7 +1147,7 @@ TEST(NetShutdown, DrainDeliversInFlightResults) {
     EXPECT_EQ(r->result,
               wire_result(expected_sink_value(g), payload));
   }
-  const StatsMsg stats = server.stats();
+  const ServerStats stats = server.stats();
   EXPECT_EQ(stats.submitted, 4u);
   EXPECT_EQ(stats.completed, 4u);
   EXPECT_EQ(stats.in_flight, 0u);
@@ -1222,7 +1177,7 @@ TEST(NetShutdown, CancelModeStopsPromptlyUnderLoad) {
   server.stop();  // cancel mode: sheds the queue instead of finishing it
   const std::uint64_t stop_ns = now_ns() - t0;
 
-  const StatsMsg stats = server.stats();
+  const ServerStats stats = server.stats();
   EXPECT_EQ(stats.submitted, 4u);
   EXPECT_EQ(stats.completed + stats.cancelled, 4u);
   EXPECT_GE(stats.cancelled, 1u);  // >1s of queued work, stopped early
@@ -1288,7 +1243,7 @@ TEST(NetPersist, WarmStartServesWithoutRecompile) {
     const std::string sock = server.unix_path();
     register_and_verify(sock, g1, 0x111);
     register_and_verify(sock, g2, 0x222);
-    const StatsMsg s = server.stats();
+    const ServerStats s = server.stats();
     EXPECT_EQ(s.registered_specs, 2u);
     EXPECT_EQ(s.plans_compiled, 2u);
     EXPECT_EQ(s.plans_loaded, 0u);
@@ -1312,7 +1267,7 @@ TEST(NetPersist, WarmStartServesWithoutRecompile) {
     std::string err;
     ASSERT_TRUE(server.start(&err)) << err;
     {
-      const StatsMsg s = server.stats();
+      const ServerStats s = server.stats();
       EXPECT_EQ(s.registered_specs, 2u);
       EXPECT_EQ(s.plans_loaded, 2u);
       EXPECT_EQ(s.plans_compiled, 0u);
@@ -1325,7 +1280,7 @@ TEST(NetPersist, WarmStartServesWithoutRecompile) {
     EXPECT_EQ(reg->shared, 1u) << "warm-started plan should be shared";
     register_and_verify(server.unix_path(), g1, 0x333);
     register_and_verify(server.unix_path(), g2, 0x444);
-    const StatsMsg s = server.stats();
+    const ServerStats s = server.stats();
     EXPECT_EQ(s.plans_compiled, 0u) << "warm restart must compile nothing";
     server.stop();
   }
@@ -1341,7 +1296,7 @@ TEST(NetPersist, WarmStartServesWithoutRecompile) {
     ASSERT_TRUE(server.start(&err)) << err;
     EXPECT_EQ(server.stats().registered_specs, 0u);
     register_and_verify(server.unix_path(), g2, 0x555);
-    const StatsMsg s = server.stats();
+    const ServerStats s = server.stats();
     EXPECT_EQ(s.plans_loaded, 1u);
     EXPECT_EQ(s.plans_compiled, 0u);
     server.stop();
@@ -1399,7 +1354,7 @@ TEST(NetPersist, StaleArtifactRecompiledAndOverwritten) {
     EXPECT_EQ(server.stats().plans_loaded, 0u) << "stale blob was restored";
 
     register_and_verify(server.unix_path(), g, 0x888);
-    const StatsMsg s = server.stats();
+    const ServerStats s = server.stats();
     EXPECT_EQ(s.plans_compiled, 1u);
     EXPECT_EQ(s.plans_persisted, 1u);
     server.stop();
@@ -1439,7 +1394,7 @@ TEST(NetPersist, GarbageBlobFallsBackToCompile) {
   EXPECT_EQ(server.stats().plans_loaded, 0u);
 
   register_and_verify(server.unix_path(), g, 0x999);
-  const StatsMsg s = server.stats();
+  const ServerStats s = server.stats();
   EXPECT_EQ(s.plans_compiled, 1u);
   EXPECT_EQ(s.plans_persisted, 1u);
   server.stop();
@@ -1449,6 +1404,108 @@ TEST(NetPersist, GarbageBlobFallsBackToCompile) {
   EXPECT_EQ(view.parse({fresh.data(), fresh.size()}), persist::BlobError::kOk);
   EXPECT_EQ(view.spec_hash(), h);
 
+  nuke_dir(dir);
+}
+
+// A frame the server never accepts from a client gets an ERROR and a close
+// and counts one protocol error: a server->client type, and the v3 STATS_REQ
+// (5) and STATS (70) numbers, which v4 retired. Around them one session
+// drives every other daemon counter (warm-loaded and compiled plans, a
+// repeat REGISTER, SUBMIT, SUBMIT_BATCH, CANCEL, a deadline, a BUSY), and
+// METRICS must then match Server::stats() field by field.
+TEST(NetService, ReplyFrameTypeFromClientIsRejected) {
+  const std::string dir = make_cache_dir();
+  const WireGraph cached = make_wavefront_wire_graph(4, 5);
+  {
+    ServerOptions o = test_opts(unique_sock_path("reply-seed"));
+    o.plan_cache_dir = dir;
+    Server seed(std::move(o));
+    std::string err;
+    ASSERT_TRUE(seed.start(&err)) << err;
+    register_and_verify(seed.unix_path(), cached, 0x5);
+    seed.stop();
+  }
+  ServerOptions o = test_opts(unique_sock_path("reply"));
+  o.plan_cache_dir = dir;
+  o.max_inflight_per_session = 1;
+  Server server(std::move(o));
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  Client c;
+  ASSERT_TRUE(c.connect_unix(server.unix_path()));
+  const auto warm = c.register_graph(cached);  // repeat: warm-loaded plan
+  ASSERT_TRUE(warm) << c.last_error();
+  EXPECT_EQ(warm->shared, 1u);
+  const WireGraph slow = make_chain(40, 7, 2'000'000);  // ~80 ms
+  const auto fresh = c.register_graph(slow);  // new: compiled, persisted
+  ASSERT_TRUE(fresh) << c.last_error();
+  EXPECT_EQ(fresh->shared, 0u);
+  // The slow run holds the session's only slot, so the next SUBMIT is BUSY;
+  // then cancel it.
+  const auto held = c.submit(fresh->handle, 1, api::Priority::kNormal);
+  ASSERT_TRUE(held && held->accepted) << c.last_error();
+  const auto busy = c.submit(fresh->handle, 2, api::Priority::kNormal);
+  ASSERT_TRUE(busy) << c.last_error();
+  EXPECT_FALSE(busy->accepted);
+  ASSERT_TRUE(c.cancel(held->exec_id)) << c.last_error();
+  ASSERT_TRUE(c.wait_result(held->exec_id)) << c.last_error();
+  // A one-item batch whose deadline passes before adoption, then a run
+  // that completes.
+  std::vector<Client::BatchItem> late(1);
+  late[0].deadline_rel_ns = 1;
+  const auto batch = c.submit_batch(warm->handle, late);
+  ASSERT_TRUE(batch && batch->exec_ids.size() == 1u) << c.last_error();
+  ASSERT_TRUE(c.wait_result(batch->exec_ids[0])) << c.last_error();
+  const auto ok = c.submit(warm->handle, 3, api::Priority::kNormal);
+  ASSERT_TRUE(ok && ok->accepted) << c.last_error();
+  ASSERT_TRUE(c.wait_result(ok->exec_id)) << c.last_error();
+
+  std::uint64_t want_errors = 0;
+  for (const std::uint8_t type :
+       {static_cast<std::uint8_t>(FrameType::kMetrics), std::uint8_t{5},
+        std::uint8_t{70}}) {
+    Client bad;
+    ASSERT_TRUE(bad.connect_unix(server.unix_path()));
+    std::uint8_t frame[kFrameHeaderBytes];
+    write_frame_header(frame, FrameType::kMetrics, 0);
+    frame[3] = type;
+    ASSERT_TRUE(bad.send_raw(frame, sizeof(frame)));
+    EXPECT_FALSE(bad.metrics().has_value()) << int{type};
+    ++want_errors;
+    const std::uint64_t deadline = now_ns() + 5'000'000'000ull;
+    while ((server.stats().protocol_errors < want_errors ||
+            server.stats().sessions_active != 1) &&
+           now_ns() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(server.stats().protocol_errors, want_errors) << int{type};
+  }
+
+  const auto m = c.metrics();
+  ASSERT_TRUE(m) << c.last_error();
+  const ServerStats st = server.stats();
+  for (const ServerStatsMetric& f : kServerStatsMetrics) {
+    const MetricEntry* e = m->find(f.name);
+    ASSERT_NE(e, nullptr) << f.name;
+    EXPECT_EQ(e->kind, static_cast<std::uint8_t>(f.kind)) << f.name;
+    EXPECT_EQ(e->value, st.*f.field) << f.name;
+  }
+  // The drive moved every counter the way it should have.
+  EXPECT_EQ(st.registered_specs, 2u);
+  EXPECT_EQ(st.plans_loaded, 1u);
+  EXPECT_EQ(st.plans_compiled, 1u);
+  EXPECT_EQ(st.plans_persisted, 1u);
+  EXPECT_EQ(st.submitted, 3u);
+  EXPECT_EQ(st.deadline_exceeded, 1u);
+  EXPECT_EQ(st.completed + st.cancelled, 2u);  // cancel is cooperative
+  EXPECT_GE(st.completed, 1u);
+  EXPECT_EQ(st.rejected_busy, 1u);
+  EXPECT_EQ(st.protocol_errors, 3u);
+  EXPECT_EQ(st.sessions_opened, 4u);
+  EXPECT_EQ(st.sessions_active, 1u);
+  EXPECT_EQ(st.in_flight, 0u);
+  server.stop();
   nuke_dir(dir);
 }
 

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <thread>
 #include <vector>
@@ -184,6 +185,51 @@ struct AccumSpec final : GraphSpec {
       for (std::uint32_t j = 0; j < n; ++j) t += key_pack(i, j) + 1;
     }
     return t;
+  }
+};
+
+/// Explicit small DAG: node k's predecessors and color come from lists,
+/// and compute() logs the completion order.
+struct ListSpec final : GraphSpec {
+  struct Node final : TaskGraphNode {
+    ListSpec* s;
+    explicit Node(ListSpec* spec) : s(spec) {}
+    void init(ExecContext&) override {
+      for (Key p : s->preds[key()]) add_predecessor(p);
+    }
+    void compute(ExecContext&) override {
+      std::lock_guard<std::mutex> lk(s->mu);
+      s->order.push_back(key());
+    }
+  };
+
+  std::vector<std::vector<Key>> preds;
+  std::vector<Color> colors;
+  std::mutex mu;
+  std::vector<Key> order;
+
+  TaskGraphNode* create(NodeArena& arena, Key) override {
+    return arena.create<Node>(this);
+  }
+  Color color_of(Key k) const override { return colors[k]; }
+  std::size_t expected_nodes() const override { return preds.size(); }
+
+  /// Every node ran exactly once, each after all of its predecessors.
+  bool ran_in_dependence_order() const {
+    std::vector<std::size_t> pos(preds.size(), preds.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (order[i] >= preds.size() || pos[order[i]] != preds.size()) {
+        return false;
+      }
+      pos[order[i]] = i;
+    }
+    if (order.size() != preds.size()) return false;
+    for (Key k = 0; k < preds.size(); ++k) {
+      for (Key p : preds[k]) {
+        if (pos[p] >= pos[k]) return false;
+      }
+    }
+    return true;
   }
 };
 
@@ -438,6 +484,43 @@ TEST_P(PlanVariant, ReplayBitwiseEqualsFreshSubmission) {
     EXPECT_TRUE(sink->computed());
     EXPECT_EQ(e.find(key_pack(77, 77)), nullptr);
   }
+
+  // Small explicit graphs, fresh and replayed (with and without tiny-graph
+  // lowering): a diamond 0 -> {1,2} -> 3, and a 16-root fan with colors
+  // 0..3 into sink 16 on a 2-domain, 4-worker pool.
+  ListSpec diamond;
+  diamond.preds = {{}, {0}, {0}, {1, 2}};
+  diamond.colors = {0, 1, 0, 1};
+  ListSpec fan;
+  fan.preds.resize(17);
+  for (Key k = 0; k < 16; ++k) {
+    fan.colors.push_back(static_cast<Color>(k % 4));
+    fan.preds[16].push_back(k);
+  }
+  fan.colors.push_back(0);
+  RuntimeOptions fan_opts;
+  fan_opts.workers = 4;
+  fan_opts.topology = numa::Topology(2, 2);
+  fan_opts.variant = GetParam();
+  Runtime fan_rt(fan_opts);
+  for (auto [run_on, shape] :
+       {std::pair{&rt, &diamond}, std::pair{&fan_rt, &fan}}) {
+    const Key sink = shape->preds.size() - 1;
+    run_on->run(*shape, sink);
+    EXPECT_TRUE(shape->ran_in_dependence_order()) << "fresh, sink " << sink;
+    for (const std::uint32_t passes :
+         {plan::kPassAll, plan::kPassAll & ~plan::kPassTinyLower}) {
+      auto small = run_on->compile(*shape, sink, 1, passes);
+      EXPECT_EQ(small->num_nodes(), shape->preds.size());
+      for (int round = 0; round < 2; ++round) {
+        shape->order.clear();
+        Execution e = run_on->run(*small);
+        EXPECT_EQ(e.status().state, ExecStatus::kCompleted);
+        EXPECT_TRUE(shape->ran_in_dependence_order())
+            << "sink " << sink << " passes " << passes << " round " << round;
+      }
+    }
+  }
 }
 
 TEST_P(PlanVariant, AllWorkloadFamiliesReplayEqualsFresh) {
@@ -475,9 +558,9 @@ TEST_P(PlanVariant, SerializedReplayCountersAreAttributable) {
   WaveGrid g(12, 9);
   WaveSpec spec(&g);
   auto plan = rt.compile(spec, key_pack(11, 11));
-  Execution e = rt.run(*plan);
-  EXPECT_TRUE(e.counters_attributable());
-  const rt::WorkerCounters& c = e.counters();
+  rt.reset_counters();
+  rt.run(*plan);
+  const rt::WorkerCounters c = rt.counters();
   EXPECT_EQ(c.locality.nodes, 144u);  // one sample per replayed node
 }
 

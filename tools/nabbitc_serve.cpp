@@ -131,7 +131,7 @@ int run_server(const nabbitc::Config& cfg) {
         nabbitc::net::poll_readable(g_signal_pipe.read.get(), park_ms);
     if (r > 0) break;  // signal
     if (r < 0) continue;  // EINTR
-    const nabbitc::net::StatsMsg s = server.stats();
+    const nabbitc::net::ServerStats s = server.stats();
     nabbitc::obs::HistSnapshot lat;
     for (const nabbitc::obs::Sample& smp : nabbitc::obs::registry().snapshot()) {
       if (smp.name == "submit_complete_ns") {
@@ -157,7 +157,7 @@ int run_server(const nabbitc::Config& cfg) {
                server.options().drain_on_shutdown ? "drain" : "cancel");
   server.stop();
 
-  const nabbitc::net::StatsMsg s = server.stats();
+  const nabbitc::net::ServerStats s = server.stats();
   std::fprintf(
       stderr,
       "nabbitc-serve: done. submitted=%llu completed=%llu cancelled=%llu "
@@ -288,33 +288,33 @@ int run_client(const nabbitc::Config& cfg) {
     ++completed;
   }
 
-  const auto stats = client.stats();
-  if (!stats) {
-    std::fprintf(stderr, "client: stats failed: %s\n",
+  const auto m = client.metrics();
+  if (!m) {
+    std::fprintf(stderr, "client: metrics failed: %s\n",
                  client.last_error().c_str());
     return 1;
   }
+  const auto value = [&](const char* name) -> unsigned long long {
+    const nabbitc::net::MetricEntry* e = m->find(name);
+    return e != nullptr ? e->value : 0;
+  };
+  const unsigned long long compiled = value("net_plans_compiled_total");
   if (expect_plans_compiled >= 0 &&
-      stats->plans_compiled !=
-          static_cast<std::uint64_t>(expect_plans_compiled)) {
+      (m->find("net_plans_compiled_total") == nullptr ||
+       compiled != static_cast<unsigned long long>(expect_plans_compiled))) {
     std::fprintf(stderr,
                  "client: server compiled %llu plans, expected %lld "
                  "(plan cache not working?)\n",
-                 static_cast<unsigned long long>(stats->plans_compiled),
-                 static_cast<long long>(expect_plans_compiled));
+                 compiled, static_cast<long long>(expect_plans_compiled));
     return 1;
   }
   std::printf(
       "client: ok. completed=%u busy=%u server{specs=%llu plans=%llu "
       "loaded=%llu persisted=%llu submitted=%llu completed=%llu arena=%llu}\n",
-      completed, busy,
-      static_cast<unsigned long long>(stats->registered_specs),
-      static_cast<unsigned long long>(stats->plans_compiled),
-      static_cast<unsigned long long>(stats->plans_loaded),
-      static_cast<unsigned long long>(stats->plans_persisted),
-      static_cast<unsigned long long>(stats->submitted),
-      static_cast<unsigned long long>(stats->completed),
-      static_cast<unsigned long long>(stats->arena_bytes));
+      completed, busy, value("net_registered_specs"), compiled,
+      value("net_plans_loaded_total"), value("net_plans_persisted_total"),
+      value("net_submitted_total"), value("net_completed_total"),
+      value("rt_arena_bytes"));
   return completed > 0 ? 0 : 1;
 }
 

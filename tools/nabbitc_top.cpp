@@ -33,16 +33,10 @@ using namespace nabbitc;
 /// One scrape, indexed for delta math.
 struct Scrape {
   std::uint64_t t_ns = 0;
-  std::vector<net::MetricEntry> entries;
+  net::MetricsMsg m;
 
-  const net::MetricEntry* find(const char* name) const {
-    for (const net::MetricEntry& e : entries) {
-      if (e.name == name) return &e;
-    }
-    return nullptr;
-  }
   std::uint64_t value(const char* name) const {
-    const net::MetricEntry* e = find(name);
+    const net::MetricEntry* e = m.find(name);
     return e != nullptr ? e->value : 0;
   }
 };
@@ -59,9 +53,9 @@ std::uint64_t now_ns() {
 obs::HistSnapshot hist_delta(const Scrape& cur, const Scrape& prev,
                              const char* name) {
   obs::HistSnapshot d;
-  const net::MetricEntry* c = cur.find(name);
+  const net::MetricEntry* c = cur.m.find(name);
   if (c == nullptr) return d;
-  const net::MetricEntry* p = prev.find(name);
+  const net::MetricEntry* p = prev.m.find(name);
   const std::size_t n = std::min(c->buckets.size(), d.buckets.size());
   for (std::size_t b = 0; b < n; ++b) {
     const std::uint64_t before =
@@ -99,7 +93,7 @@ int run(const Config& cfg) {
     }
     Scrape cur;
     cur.t_ns = now_ns();
-    cur.entries = m->entries;
+    cur.m = *m;
 
     // The first scrape only establishes the baseline; rows start after it.
     if (have_prev) {
