@@ -484,13 +484,45 @@ TEST_P(PlanVariant, ReplayBitwiseEqualsFreshSubmission) {
     EXPECT_TRUE(sink->computed());
     EXPECT_EQ(e.find(key_pack(77, 77)), nullptr);
   }
+}
 
-  // Small explicit graphs, fresh and replayed (with and without tiny-graph
-  // lowering): a diamond 0 -> {1,2} -> 3, and a 16-root fan with colors
-  // 0..3 into sink 16 on a 2-domain, 4-worker pool.
+// Runs a small explicit graph fresh, then compiled and replayed (with and
+// without tiny-graph lowering): every node exactly once, after all of its
+// predecessors, on every run.
+void expect_small_graph_replays(Runtime& rt, ListSpec& shape) {
+  const Key sink = shape.preds.size() - 1;
+  shape.order.clear();
+  rt.run(shape, sink);
+  EXPECT_TRUE(shape.ran_in_dependence_order()) << "fresh";
+  for (const std::uint32_t passes :
+       {plan::kPassAll, plan::kPassAll & ~plan::kPassTinyLower}) {
+    auto small = rt.compile(shape, sink, 1, passes);
+    EXPECT_EQ(small->num_nodes(), shape.preds.size());
+    for (int round = 0; round < 2; ++round) {
+      shape.order.clear();
+      Execution e = rt.run(*small);
+      EXPECT_EQ(e.status().state, ExecStatus::kCompleted);
+      EXPECT_TRUE(shape.ran_in_dependence_order())
+          << "passes " << passes << " round " << round;
+    }
+  }
+}
+
+TEST(PlanReplay, DiamondGraph) {
+  // 0 -> {1,2} -> 3: the root runs first, the join last.
   ListSpec diamond;
   diamond.preds = {{}, {0}, {0}, {1, 2}};
   diamond.colors = {0, 1, 0, 1};
+  for (const Variant v : {Variant::kNabbit, Variant::kNabbitC}) {
+    SCOPED_TRACE(v == Variant::kNabbit ? "nabbit" : "nabbitc");
+    auto rt = make_runtime(v, 4);
+    expect_small_graph_replays(rt, diamond);
+  }
+}
+
+TEST(PlanReplay, RunsColoredGraph) {
+  // Two-level fan: roots 0..15 colored 0..3 on a 2-domain, 4-worker pool,
+  // all feeding sink 16.
   ListSpec fan;
   fan.preds.resize(17);
   for (Key k = 0; k < 16; ++k) {
@@ -498,28 +530,14 @@ TEST_P(PlanVariant, ReplayBitwiseEqualsFreshSubmission) {
     fan.preds[16].push_back(k);
   }
   fan.colors.push_back(0);
-  RuntimeOptions fan_opts;
-  fan_opts.workers = 4;
-  fan_opts.topology = numa::Topology(2, 2);
-  fan_opts.variant = GetParam();
-  Runtime fan_rt(fan_opts);
-  for (auto [run_on, shape] :
-       {std::pair{&rt, &diamond}, std::pair{&fan_rt, &fan}}) {
-    const Key sink = shape->preds.size() - 1;
-    run_on->run(*shape, sink);
-    EXPECT_TRUE(shape->ran_in_dependence_order()) << "fresh, sink " << sink;
-    for (const std::uint32_t passes :
-         {plan::kPassAll, plan::kPassAll & ~plan::kPassTinyLower}) {
-      auto small = run_on->compile(*shape, sink, 1, passes);
-      EXPECT_EQ(small->num_nodes(), shape->preds.size());
-      for (int round = 0; round < 2; ++round) {
-        shape->order.clear();
-        Execution e = run_on->run(*small);
-        EXPECT_EQ(e.status().state, ExecStatus::kCompleted);
-        EXPECT_TRUE(shape->ran_in_dependence_order())
-            << "sink " << sink << " passes " << passes << " round " << round;
-      }
-    }
+  for (const Variant v : {Variant::kNabbit, Variant::kNabbitC}) {
+    SCOPED_TRACE(v == Variant::kNabbit ? "nabbit" : "nabbitc");
+    RuntimeOptions opts;
+    opts.workers = 4;
+    opts.topology = numa::Topology(2, 2);
+    opts.variant = v;
+    Runtime rt(opts);
+    expect_small_graph_replays(rt, fan);
   }
 }
 
