@@ -1,4 +1,5 @@
-// Ablation: the scheduler-policy knobs DESIGN.md calls out.
+// Ablation: the scheduler-policy knobs of the paper's SectionIII (see README,
+// "Paper mapping").
 //
 //   (a) colored_attempts k — the "constant number" of colored attempts per
 //       random fallback (SectionIII). k=0 disables colored steals entirely.

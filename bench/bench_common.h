@@ -136,7 +136,7 @@ inline void export_trace(const BenchArgs& args, const trace::Trace& t,
 
 inline void print_header(const char* what) {
   std::printf("NabbitC reproduction — %s\n", what);
-  std::printf("(simulated %s; see DESIGN.md for the substitution rationale)\n\n",
+  std::printf("(simulated %s; see README \"Paper mapping\")\n\n",
               numa::Topology::paper().describe().c_str());
 }
 

@@ -373,7 +373,8 @@ void bench_plan_batch_submit(const BenchParams& p) {
 // Plan persistence (src/persist/): what a daemon pays to compile a
 // 1024-node wire graph from scratch, to serialize the compiled plan into a
 // PlanBlob, and to load one back (full parse validation + restore over the
-// blob's frozen arrays, node functions re-bound from the spec). The
+// blob's persisted arrays, which re-derives the schedule, key table and
+// colors, node functions re-bound from the spec). The
 // headline is plan_blob_load_ns vs plan_compile_ns — the warm-start win a
 // plan cache buys per registered graph; save is the one-time cost of the
 // cache miss that makes every later boot warm.

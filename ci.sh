@@ -465,4 +465,15 @@ TSAN_OPTIONS="suppressions=$(pwd)/tsan.supp halt_on_error=1 history_size=7" \
   -R 'SubmissionControl|ConcurrentStealersEachTaskOnce|ConcurrentRootJobsShareThePool|ConcurrentStress|PlanConcurrent|OverlappingSubmissions|SubmitOptionsKeepSteadyState|FuzzDag8.*/[01]$|FuzzTiny8.*/[01]$|FuzzBatch8.*/[01]$|SubmitRing|BatchSubmission|SharedPlanCompiledOnceAcrossSessions|BatchSubmitDeliversPerItemResults|BatchAdmissionAdmitsPrefixAndReportsScope|NetDisconnect|NetShutdown|PersistConcurrent|ConcurrentRecordMergeMatchesSerial|MetricsAndSlowCaptureOverUnix'
 echo "tsan leg OK"
 
+echo "=== ThreadSanitizer repeat leg (plan restore + registration) ==="
+# restore() allocates the derived schedule, key table and colors on the
+# daemon's concurrent REGISTER and warm-load paths; repeat the subset that
+# drives those paths (and concurrent plan replay) until a run fails, up to
+# 10 times, in the same TSan build.
+TSAN_OPTIONS="suppressions=$(pwd)/tsan.supp halt_on_error=1 history_size=7" \
+  ctest --test-dir "${TSAN_DIR}" --output-on-failure --timeout 600 \
+  --repeat until-fail:10 \
+  -R 'PlanConcurrent|PersistConcurrent|SharedPlanCompiledOnceAcrossSessions|FuzzDag8.*/[01]$'
+echo "tsan repeat leg OK"
+
 echo "CI OK"

@@ -42,14 +42,6 @@ struct LocalityCounters {
     remote_pred_accesses += o.remote_pred_accesses;
   }
 
-  /// Subtracts an earlier snapshot (delta accounting).
-  void subtract(const LocalityCounters& o) noexcept {
-    nodes -= o.nodes;
-    remote_nodes -= o.remote_nodes;
-    pred_accesses -= o.pred_accesses;
-    remote_pred_accesses -= o.remote_pred_accesses;
-  }
-
   std::uint64_t total_accesses() const noexcept { return nodes + pred_accesses; }
   std::uint64_t remote_accesses() const noexcept {
     return remote_nodes + remote_pred_accesses;

@@ -3,10 +3,11 @@
 // Two jobs, both boring on purpose:
 //
 //   * MappedFile — read-only mmap of a whole file, exposed as a byte span.
-//     The mapping IS the zero-copy story: PlanBlobView's frozen arrays
-//     point straight into it, so a loaded plan touches only the pages the
-//     replay actually reads. mmap bases are page-aligned, which satisfies
-//     the blob format's 8-byte alignment requirement by construction.
+//     PlanBlobView's persisted arrays (keys, predecessor CSR, unit
+//     partition) point straight into it; only the schedule, key table and
+//     colors derived from them are built in memory at load. mmap bases are
+//     page-aligned, which satisfies the blob format's 8-byte alignment
+//     requirement by construction.
 //
 //   * write_file_atomic — write-to-temp + fsync + rename publication.
 //     rename(2) within one directory is atomic, so a reader (or a

@@ -18,24 +18,11 @@ std::uint64_t section_bytes(const PlanBlobHeader& h, std::uint32_t sec) {
   const std::uint64_t n = h.n;
   switch (sec) {
     case kSecKeys:        return n * sizeof(Key);
-    case kSecColors:      return n * sizeof(numa::Color);
-    case kSecDataColors:  return n * sizeof(numa::Color);
     case kSecPredOff:     return (n + 1) * sizeof(std::uint32_t);
     case kSecPredIdx:     return std::uint64_t{h.n_edges} * sizeof(std::uint32_t);
-    case kSecSuccOff:     return (n + 1) * sizeof(std::uint32_t);
-    case kSecSuccIdx:     return std::uint64_t{h.n_edges} * sizeof(std::uint32_t);
-    case kSecInitialJoin: return n * sizeof(std::int32_t);
-    case kSecRoots:       return std::uint64_t{h.n_roots} * sizeof(std::uint32_t);
-    case kSecSlotKey:     return std::uint64_t{h.slot_cap} * sizeof(Key);
-    case kSecSlotIdx:     return std::uint64_t{h.slot_cap} * sizeof(std::uint32_t);
     case kSecSpec:        return h.spec_len;
     case kSecUnitOff:     return (std::uint64_t{h.fused_n} + 1) * sizeof(std::uint32_t);
     case kSecUnitNodes:   return n * sizeof(std::uint32_t);
-    case kSecUnitJoin:    return std::uint64_t{h.fused_n} * sizeof(std::int32_t);
-    case kSecUnitSuccOff: return (std::uint64_t{h.fused_n} + 1) * sizeof(std::uint32_t);
-    case kSecUnitSuccIdx: return std::uint64_t{h.unit_edges} * sizeof(std::uint32_t);
-    case kSecUnitRoots:   return std::uint64_t{h.n_unit_roots} * sizeof(std::uint32_t);
-    case kSecUnitColors:  return std::uint64_t{h.fused_n} * sizeof(numa::Color);
     default:              return 0;
   }
 }
@@ -101,15 +88,10 @@ std::vector<std::uint8_t> serialize_plan(const plan::GraphPlan& plan,
             (f.serial_lower ? kPlanBlobFlagSerialLowered : 0u);
   h.n = f.n;
   h.sink_key = f.keys[0];
-  h.slot_mask = f.slot_mask;
   h.instance_slab_bytes = f.instance_slab_bytes;
   h.n_edges = static_cast<std::uint32_t>(f.pred_idx.size());
-  h.n_roots = static_cast<std::uint32_t>(f.roots.size());
-  h.slot_cap = static_cast<std::uint32_t>(f.slot_key.size());
   h.spec_len = static_cast<std::uint32_t>(spec_bytes.size());
   h.fused_n = f.fused_n;
-  h.unit_edges = static_cast<std::uint32_t>(f.unit_succ_idx.size());
-  h.n_unit_roots = static_cast<std::uint32_t>(f.unit_roots.size());
   h.passes = f.passes;
   compute_layout(h);
 
@@ -121,24 +103,11 @@ std::vector<std::uint8_t> serialize_plan(const plan::GraphPlan& plan,
     if (len != 0) std::memcpy(out.data() + h.section_off[sec], src, len);
   };
   put(kSecKeys, f.keys.data());
-  put(kSecColors, f.colors.data());
-  put(kSecDataColors, f.data_colors.data());
   put(kSecPredOff, f.pred_off.data());
   put(kSecPredIdx, f.pred_idx.data());
-  put(kSecSuccOff, f.succ_off.data());
-  put(kSecSuccIdx, f.succ_idx.data());
-  put(kSecInitialJoin, f.initial_join.data());
-  put(kSecRoots, f.roots.data());
-  put(kSecSlotKey, f.slot_key.data());
-  put(kSecSlotIdx, f.slot_idx.data());
   put(kSecSpec, spec_bytes.data());
   put(kSecUnitOff, f.unit_off.data());
   put(kSecUnitNodes, f.unit_nodes.data());
-  put(kSecUnitJoin, f.unit_join.data());
-  put(kSecUnitSuccOff, f.unit_succ_off.data());
-  put(kSecUnitSuccIdx, f.unit_succ_idx.data());
-  put(kSecUnitRoots, f.unit_roots.data());
-  put(kSecUnitColors, f.unit_colors.data());
 
   h.body_hash = bulk_hash_64(
       {out.data() + sizeof(PlanBlobHeader), out.size() - sizeof(PlanBlobHeader)});
@@ -187,12 +156,8 @@ BlobError PlanBlobView::parse(std::span<const std::uint8_t> bytes) {
   if ((hdr_.flags & ~kPlanBlobKnownFlags) != 0) return BlobError::kBadLayout;
   if (hdr_.n == 0 || hdr_.n > (1u << 24)) return BlobError::kBadLayout;
   if (hdr_.n_edges > (1u << 28)) return BlobError::kBadLayout;
-  if (hdr_.n_roots > hdr_.n) return BlobError::kBadLayout;
-  if (hdr_.slot_cap > (1u << 26)) return BlobError::kBadLayout;
   if (hdr_.spec_len > (64u << 20)) return BlobError::kBadLayout;
   if (hdr_.fused_n == 0 || hdr_.fused_n > hdr_.n) return BlobError::kBadLayout;
-  if (hdr_.unit_edges > hdr_.n_edges) return BlobError::kBadLayout;
-  if (hdr_.n_unit_roots > hdr_.fused_n) return BlobError::kBadLayout;
   if ((hdr_.passes & ~plan::kPassAll) != 0) return BlobError::kBadLayout;
 
   // Offsets are fully determined by the counts: recompute and require an
@@ -212,7 +177,7 @@ BlobError PlanBlobView::parse(std::span<const std::uint8_t> bytes) {
   spec_ = {bytes.data() + hdr_.section_off[kSecSpec], hdr_.spec_len};
 
   // --- layer 4: structure. Borrow the views (no backing needed — nothing
-  // escapes this frame) and re-prove every compile()-time invariant.
+  // escapes this frame) and prove the persisted arrays' invariants.
   if (hdr_.sink_key != typed_section<Key>(bytes_, hdr_, kSecKeys)[0]) {
     bytes_ = {};
     spec_ = {};
@@ -230,28 +195,14 @@ plan::FrozenPlan PlanBlobView::frozen(std::shared_ptr<const void> backing) const
   plan::FrozenPlan f;
   f.n = hdr_.n;
   f.keys = typed_section<Key>(bytes_, hdr_, kSecKeys);
-  f.colors = typed_section<numa::Color>(bytes_, hdr_, kSecColors);
-  f.data_colors = typed_section<numa::Color>(bytes_, hdr_, kSecDataColors);
   f.pred_off = typed_section<std::uint32_t>(bytes_, hdr_, kSecPredOff);
   f.pred_idx = typed_section<std::uint32_t>(bytes_, hdr_, kSecPredIdx);
-  f.succ_off = typed_section<std::uint32_t>(bytes_, hdr_, kSecSuccOff);
-  f.succ_idx = typed_section<std::uint32_t>(bytes_, hdr_, kSecSuccIdx);
-  f.initial_join = typed_section<std::int32_t>(bytes_, hdr_, kSecInitialJoin);
-  f.roots = typed_section<std::uint32_t>(bytes_, hdr_, kSecRoots);
-  f.slot_key = typed_section<Key>(bytes_, hdr_, kSecSlotKey);
-  f.slot_idx = typed_section<std::uint32_t>(bytes_, hdr_, kSecSlotIdx);
-  f.slot_mask = hdr_.slot_mask;
   f.instance_slab_bytes = hdr_.instance_slab_bytes;
   f.fused_n = hdr_.fused_n;
   f.passes = hdr_.passes;
   f.serial_lower = (hdr_.flags & kPlanBlobFlagSerialLowered) != 0;
   f.unit_off = typed_section<std::uint32_t>(bytes_, hdr_, kSecUnitOff);
   f.unit_nodes = typed_section<std::uint32_t>(bytes_, hdr_, kSecUnitNodes);
-  f.unit_join = typed_section<std::int32_t>(bytes_, hdr_, kSecUnitJoin);
-  f.unit_succ_off = typed_section<std::uint32_t>(bytes_, hdr_, kSecUnitSuccOff);
-  f.unit_succ_idx = typed_section<std::uint32_t>(bytes_, hdr_, kSecUnitSuccIdx);
-  f.unit_roots = typed_section<std::uint32_t>(bytes_, hdr_, kSecUnitRoots);
-  f.unit_colors = typed_section<numa::Color>(bytes_, hdr_, kSecUnitColors);
   f.backing = std::move(backing);
   return f;
 }

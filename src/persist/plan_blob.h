@@ -1,14 +1,18 @@
 // PlanBlob: the on-disk form of a compiled GraphPlan.
 //
-// A blob is one contiguous byte buffer: a fixed 264-byte POD header
-// followed by 19 dense, 8-byte-aligned sections holding the plan's frozen
-// arrays verbatim (native byte order) plus the canonical WireGraph spec
-// bytes the plan was compiled from. The layout is chosen so a load is
-// zero-copy: mmap the file, run parse() (pure bounds/stamp/checksum/
-// structure checks — no allocation proportional to the plan), and hand the
-// resulting FrozenPlan views straight to plan::restore(). Node *functions*
-// are not serialized — they are re-bound by decoding the embedded spec
-// bytes and rebuilding the GraphSpec, which is why the spec section exists.
+// A blob is one contiguous byte buffer: a fixed 136-byte POD header
+// followed by 6 dense, 8-byte-aligned sections holding what compile()
+// DECIDED — keys in layout order, the predecessor CSR, the fused-unit
+// partition (native byte order) — plus the canonical WireGraph spec bytes
+// the plan was compiled from. Everything derivable from those (colors, the
+// cross-unit schedule, the key table) is rebuilt at load by
+// plan::derive_frozen(), the same code compile() runs, so an artifact can
+// never disagree with it — and colors follow the LOADING runtime's width.
+// A load maps the file, runs parse() (bounds/stamp/checksum/structure
+// checks), and hands the persisted views, still pointing into the mapping,
+// to plan::restore(). Node *functions* are not serialized — they are
+// re-bound by decoding the embedded spec bytes and rebuilding the
+// GraphSpec, which is why the spec section exists.
 //
 // Native byte order is deliberate: a blob is a CACHE ARTIFACT for the
 // machine that wrote it, not an interchange format (contrast src/net/wire.h,
@@ -18,17 +22,20 @@
 //
 // Integrity is layered exactly like the wire codec's trust model:
 //   1. stamps   — magic/endian/version/ABI refuse foreign files cheaply;
-//   2. checksums — header_hash (FNV-1a over 192 bytes) + body_hash
+//   2. checksums — header_hash (FNV-1a over 136 bytes) + body_hash
 //      (bulk_hash_64, word-parallel so validation stays far cheaper than a
 //      recompile) catch torn writes and bit rot before any field is
 //      believed;
 //   3. layout   — every section offset is recomputed from the counts and
 //      must match exactly; all size math is overflow-checked;
-//   4. structure — plan::validate_frozen() re-proves every invariant
-//      compile() guarantees, so a doctored blob that passes 1–3 still
-//      cannot make the replay engine index out of bounds or deadlock.
+//   4. structure — plan::validate_frozen() proves every invariant of the
+//      persisted arrays that compile() guarantees, so a doctored blob that
+//      passes 1–3 still cannot make derive_frozen() or the replay engine
+//      index out of bounds or deadlock.
 // A blob that passes all four parses into views safe to hand to restore();
-// anything else gets a BlobError and the caller recompiles.
+// anything else gets a BlobError and the caller recompiles. (A duplicated
+// key is the one defect only the key-table build sees: restore() refuses
+// it with nullptr, which the caller treats the same way.)
 #pragma once
 
 #include <cstdint>
@@ -47,7 +54,10 @@ namespace nabbitc::persist {
 /// v2: fused-unit schedule (chain fusion / level order / tiny lowering) —
 /// seven unit sections + four header counts; v1 blobs predate the
 /// optimization passes and are rejected.
-inline constexpr std::uint32_t kPlanBlobVersion = 2;
+/// v3: only compile()'s decisions are stored (keys, predecessor CSR, unit
+/// partition, spec); colors, the unit schedule and the key table are
+/// re-derived at load. 13 sections and 5 header counts dropped.
+inline constexpr std::uint32_t kPlanBlobVersion = 3;
 
 /// Written as a native u32; reads back byte-swapped on a foreign-endian
 /// machine, which is the detection.
@@ -59,26 +69,13 @@ inline constexpr char kPlanBlobMagic[4] = {'N', 'B', 'P', 'B'};
 /// the header counts; each section starts 8-byte aligned.
 enum PlanBlobSection : std::uint32_t {
   kSecKeys = 0,      // Key[n]
-  kSecColors,        // Color[n]       (scheduling)
-  kSecDataColors,    // Color[n]       (true data placement)
   kSecPredOff,       // u32[n+1]
   kSecPredIdx,       // u32[n_edges]
-  kSecSuccOff,       // u32[n+1]
-  kSecSuccIdx,       // u32[n_edges]
-  kSecInitialJoin,   // i32[n]
-  kSecRoots,         // u32[n_roots]
-  kSecSlotKey,       // Key[slot_cap]
-  kSecSlotIdx,       // u32[slot_cap]
   kSecSpec,          // u8[spec_len]   (canonical REGISTER encoding)
-  // v2: the fused-unit schedule (see plan.h FrozenPlan).
+  // v2: the fused-unit partition (see plan.h FrozenPlan).
   kSecUnitOff,       // u32[fused_n+1]
   kSecUnitNodes,     // u32[n]
-  kSecUnitJoin,      // i32[fused_n]
-  kSecUnitSuccOff,   // u32[fused_n+1]
-  kSecUnitSuccIdx,   // u32[unit_edges]
-  kSecUnitRoots,     // u32[n_unit_roots]
-  kSecUnitColors,    // Color[fused_n]
-  kPlanBlobSections  // = 19
+  kPlanBlobSections  // = 6
 };
 
 struct PlanBlobHeader {
@@ -93,19 +90,14 @@ struct PlanBlobHeader {
   std::uint32_t flags;         // kPlanBlobFlag* only; unknown bits refused
   std::uint32_t n;             // nodes (index 0 = sink)
   std::uint64_t sink_key;      // == keys[0], for inspection without views
-  std::uint64_t slot_mask;     // slot_cap - 1
   std::uint64_t instance_slab_bytes;
   std::uint32_t n_edges;
-  std::uint32_t n_roots;
-  std::uint32_t slot_cap;
   std::uint32_t spec_len;
   std::uint32_t fused_n;        // schedulable units after chain fusion
-  std::uint32_t unit_edges;     // cross-unit edges (with multiplicity)
-  std::uint32_t n_unit_roots;   // zero-join units
   std::uint32_t passes;         // kPass* mask compile() applied
   std::uint64_t section_off[kPlanBlobSections];  // from blob start
 };
-static_assert(sizeof(PlanBlobHeader) == 264, "on-disk header layout");
+static_assert(sizeof(PlanBlobHeader) == 136, "on-disk header layout");
 static_assert(sizeof(PlanBlobHeader) % 8 == 0);
 static_assert(std::is_trivially_copyable_v<PlanBlobHeader>);
 
@@ -121,7 +113,6 @@ inline constexpr std::uint32_t kPlanBlobKnownFlags =
 /// section bytes. Any mismatch is kBadAbi.
 constexpr std::uint32_t plan_blob_abi() {
   return static_cast<std::uint32_t>(sizeof(nabbit::Key)) |
-         (static_cast<std::uint32_t>(sizeof(numa::Color)) << 8) |
          (static_cast<std::uint32_t>(sizeof(PlanBlobHeader)) << 16);
 }
 
@@ -173,9 +164,10 @@ class PlanBlobView {
   /// decode_register to re-bind node functions). Empty for generic blobs.
   std::span<const std::uint8_t> spec_bytes() const noexcept { return spec_; }
 
-  /// Frozen views aliasing the blob bytes, ready for plan::restore().
-  /// `backing` must keep those bytes alive (the MappedFile / buffer);
-  /// it is moved into FrozenPlan::backing.
+  /// The persisted FrozenPlan views, aliasing the blob bytes, ready for
+  /// plan::restore() (which derives the rest). `backing` must keep those
+  /// bytes alive (the MappedFile / buffer); it is moved into
+  /// FrozenPlan::backing.
   plan::FrozenPlan frozen(std::shared_ptr<const void> backing) const;
 
  private:

@@ -221,51 +221,23 @@ struct DiscoveryLookup final : nabbit::NodeLookup {
 
 /// compile()'s owned backing store for the frozen views: one allocation
 /// (shared_ptr'd into FrozenPlan::backing) holding every array. The persist
-/// layer substitutes a mapped file here; neither the plan nor the replay
-/// path can tell the difference.
+/// layer substitutes a mapped file for the persisted group here; neither
+/// the plan nor the replay path can tell the difference.
 struct OwnedStorage {
   std::vector<Key> keys;
-  std::vector<numa::Color> colors;
-  std::vector<numa::Color> data_colors;
   std::vector<std::uint32_t> pred_off;
   std::vector<std::uint32_t> pred_idx;
-  std::vector<std::uint32_t> succ_off;
-  std::vector<std::uint32_t> succ_idx;
-  std::vector<std::int32_t> initial_join;
-  std::vector<std::uint32_t> roots;
-  std::vector<Key> slot_key;
-  std::vector<std::uint32_t> slot_idx;
-  // Fused-unit schedule (see FrozenPlan).
   std::vector<std::uint32_t> unit_off;
   std::vector<std::uint32_t> unit_nodes;
-  std::vector<std::int32_t> unit_join;
-  std::vector<std::uint32_t> unit_succ_off;
-  std::vector<std::uint32_t> unit_succ_idx;
-  std::vector<std::uint32_t> unit_roots;
-  std::vector<numa::Color> unit_colors;
+  DerivedArrays derived;
 };
 
-/// Rebuilds succ_off/succ_idx as the exact transpose of the pred rows in
-/// the canonical emission order (iterate nodes in index order, append to
-/// each pred's row) — the order validate_frozen re-derives and demands.
-void build_successor_csr(OwnedStorage& s, std::uint32_t n) {
-  s.succ_off.assign(n + 1, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint32_t e = s.pred_off[i]; e < s.pred_off[i + 1]; ++e) {
-      ++s.succ_off[s.pred_idx[e] + 1];
-    }
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    s.succ_off[i + 1] += s.succ_off[i];
-  }
-  s.succ_idx.assign(s.succ_off[n], 0);
-  std::vector<std::uint32_t> cursor(s.succ_off.begin(), s.succ_off.end() - 1);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint32_t e = s.pred_off[i]; e < s.pred_off[i + 1]; ++e) {
-      s.succ_idx[cursor[s.pred_idx[e]]++] = i;
-    }
-  }
-}
+/// restore()'s backing store: the mapped artifact the persisted views
+/// alias, kept alive next to the arrays derive_frozen() built for it.
+struct RestoredStorage {
+  std::shared_ptr<const void> persisted;
+  DerivedArrays derived;
+};
 
 }  // namespace
 
@@ -320,24 +292,17 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
     }
   }
 
-  // --- freeze topology into CSR arrays + per-node colors (discovery index
-  // space; the optimization passes below may renumber everything).
+  // --- freeze topology into CSR arrays (discovery index space; the
+  // optimization passes below may renumber everything).
   const auto n = static_cast<std::uint32_t>(nodes.size());
   auto st = std::make_shared<OwnedStorage>();
   OwnedStorage& s = *st;
   s.keys.resize(n);
-  s.colors.resize(n);
-  s.data_colors.resize(n);
   s.pred_off.assign(n + 1, 0);
-  s.initial_join.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     s.keys[i] = nodes[i]->key();
-    s.colors[i] = nodes[i]->color();
-    s.data_colors[i] = spec.data_color_of(nodes[i]->key());
     const auto npreds = nodes[i]->predecessors().size();
     s.pred_off[i + 1] = s.pred_off[i] + static_cast<std::uint32_t>(npreds);
-    s.initial_join[i] = static_cast<std::int32_t>(npreds);
-    if (npreds == 0) s.roots.push_back(i);
   }
   s.pred_idx.resize(s.pred_off[n]);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -346,29 +311,47 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
       s.pred_idx[o++] = index.at(pk);
     }
   }
-  build_successor_csr(s, n);
+
+  // Successor transpose, for the passes' own analysis only (the replay
+  // schedule is derive_frozen()'s unit-level transpose).
+  std::vector<std::uint32_t> succ_off(n + 1, 0);
+  for (const std::uint32_t p : s.pred_idx) ++succ_off[p + 1];
+  for (std::uint32_t i = 0; i < n; ++i) succ_off[i + 1] += succ_off[i];
+  std::vector<std::uint32_t> succ_idx(s.pred_idx.size());
+  {
+    std::vector<std::uint32_t> cursor(succ_off.begin(), succ_off.end() - 1);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      for (std::uint32_t e = s.pred_off[i]; e < s.pred_off[i + 1]; ++e) {
+        succ_idx[cursor[s.pred_idx[e]]++] = i;
+      }
+    }
+  }
 
   // --- optimization passes -------------------------------------------------
   const std::uint32_t passes = opts.passes & kPassAll;
   const auto pred_cnt = [&s](std::uint32_t v) {
     return s.pred_off[v + 1] - s.pred_off[v];
   };
-  const auto succ_cnt = [&s](std::uint32_t v) {
-    return s.succ_off[v + 1] - s.succ_off[v];
+  const auto succ_cnt = [&succ_off](std::uint32_t v) {
+    return succ_off[v + 1] - succ_off[v];
   };
 
   // Topological levels (Kahn over the frozen CSR): level[v] = longest root
   // path, the layout pass's primary sort key.
   std::vector<std::uint32_t> level(n, 0);
   {
-    std::vector<std::int32_t> pending(s.initial_join.begin(),
-                                      s.initial_join.end());
-    std::vector<std::uint32_t> queue(s.roots.begin(), s.roots.end());
+    std::vector<std::uint32_t> pending(n);
+    std::vector<std::uint32_t> queue;
+    queue.reserve(n);
+    for (std::uint32_t v = 0; v < n; ++v) {
+      pending[v] = pred_cnt(v);
+      if (pending[v] == 0) queue.push_back(v);
+    }
     std::size_t head = 0;
     while (head < queue.size()) {
       const std::uint32_t u = queue[head++];
-      for (std::uint32_t e = s.succ_off[u]; e < s.succ_off[u + 1]; ++e) {
-        const std::uint32_t v = s.succ_idx[e];
+      for (std::uint32_t e = succ_off[u]; e < succ_off[u + 1]; ++e) {
+        const std::uint32_t v = succ_idx[e];
         if (level[v] < level[u] + 1) level[v] = level[u] + 1;
         if (--pending[v] == 0) queue.push_back(v);
       }
@@ -397,7 +380,7 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
   const auto fused_n = static_cast<std::uint32_t>(heads.size());
   const auto chain_next = [&](std::uint32_t v) -> std::uint32_t {
     if (succ_cnt(v) == 1) {
-      const std::uint32_t w = s.succ_idx[s.succ_off[v]];
+      const std::uint32_t w = succ_idx[succ_off[v]];
       if (interior[w]) return w;
     }
     return GraphPlan::kInvalidIndex;
@@ -417,9 +400,9 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
                      [&](std::uint32_t a, std::uint32_t b) {
                        const std::uint32_t ha = heads[a], hb = heads[b];
                        if (level[ha] != level[hb]) return level[ha] < level[hb];
-                       if (s.colors[ha] != s.colors[hb]) {
-                         return s.colors[ha] < s.colors[hb];
-                       }
+                       const numa::Color ca = nodes[ha]->color();
+                       const numa::Color cb = nodes[hb]->color();
+                       if (ca != cb) return ca < cb;
                        return ha < hb;
                      });
     std::uint32_t next = 1;
@@ -444,126 +427,40 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
   }
   NABBITC_CHECK_MSG(s.unit_nodes.size() == n, "fusion lost nodes");
 
-  // Apply the permutation to every node-space array (and the prototype's
-  // payload slots); successor rows are re-derived transpose-style in the
-  // new order.
+  // Apply the permutation to the node-space arrays (and the prototype's
+  // payload slots).
   if ((passes & kPassLevelOrder) != 0) {
-    OwnedStorage t;
-    t.keys.resize(n);
-    t.colors.resize(n);
-    t.data_colors.resize(n);
-    t.initial_join.resize(n);
-    t.pred_off.assign(n + 1, 0);
+    std::vector<Key> keys(n);
+    std::vector<std::uint32_t> pred_off(n + 1, 0);
     std::vector<TaskGraphNode*> perm_nodes(n);
     for (std::uint32_t v = 0; v < n; ++v) {
       const std::uint32_t nv = new_of[v];
-      t.keys[nv] = s.keys[v];
-      t.colors[nv] = s.colors[v];
-      t.data_colors[nv] = s.data_colors[v];
-      t.initial_join[nv] = s.initial_join[v];
-      t.pred_off[nv + 1] = pred_cnt(v);
+      keys[nv] = s.keys[v];
+      pred_off[nv + 1] = pred_cnt(v);
       perm_nodes[nv] = nodes[v];
     }
-    for (std::uint32_t i = 0; i < n; ++i) t.pred_off[i + 1] += t.pred_off[i];
-    t.pred_idx.resize(s.pred_idx.size());
+    for (std::uint32_t i = 0; i < n; ++i) pred_off[i + 1] += pred_off[i];
+    std::vector<std::uint32_t> pred_idx(s.pred_idx.size());
     for (std::uint32_t v = 0; v < n; ++v) {
-      std::uint32_t o = t.pred_off[new_of[v]];
+      std::uint32_t o = pred_off[new_of[v]];
       // Predecessor declaration order is preserved (try_build compares it
       // against the spec's answers slot by slot).
       for (std::uint32_t e = s.pred_off[v]; e < s.pred_off[v + 1]; ++e) {
-        t.pred_idx[o++] = new_of[s.pred_idx[e]];
+        pred_idx[o++] = new_of[s.pred_idx[e]];
       }
     }
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (t.pred_off[i + 1] == t.pred_off[i]) t.roots.push_back(i);
-    }
-    s.keys = std::move(t.keys);
-    s.colors = std::move(t.colors);
-    s.data_colors = std::move(t.data_colors);
-    s.initial_join = std::move(t.initial_join);
-    s.pred_off = std::move(t.pred_off);
-    s.pred_idx = std::move(t.pred_idx);
-    s.roots = std::move(t.roots);
-    build_successor_csr(s, n);
+    s.keys = std::move(keys);
+    s.pred_off = std::move(pred_off);
+    s.pred_idx = std::move(pred_idx);
     nodes = std::move(perm_nodes);
-  }
-
-  // Cross-unit schedule: per-unit join counts (with edge multiplicity) and
-  // the unit-level successor transpose, in the canonical emission order
-  // validate_frozen re-derives (units in order, members in chain order,
-  // pred rows in declaration order).
-  std::vector<std::uint32_t> unit_of(n);
-  for (std::uint32_t u = 0; u < fused_n; ++u) {
-    for (std::uint32_t e = s.unit_off[u]; e < s.unit_off[u + 1]; ++e) {
-      unit_of[s.unit_nodes[e]] = u;
-    }
-  }
-  s.unit_join.assign(fused_n, 0);
-  s.unit_succ_off.assign(fused_n + 1, 0);
-  for (std::uint32_t u = 0; u < fused_n; ++u) {
-    for (std::uint32_t e = s.unit_off[u]; e < s.unit_off[u + 1]; ++e) {
-      const std::uint32_t v = s.unit_nodes[e];
-      for (std::uint32_t pe = s.pred_off[v]; pe < s.pred_off[v + 1]; ++pe) {
-        const std::uint32_t pu = unit_of[s.pred_idx[pe]];
-        if (pu == u) continue;
-        ++s.unit_join[u];
-        ++s.unit_succ_off[pu + 1];
-      }
-    }
-  }
-  for (std::uint32_t u = 0; u < fused_n; ++u) {
-    s.unit_succ_off[u + 1] += s.unit_succ_off[u];
-  }
-  s.unit_succ_idx.assign(s.unit_succ_off[fused_n], 0);
-  {
-    std::vector<std::uint32_t> cursor(s.unit_succ_off.begin(),
-                                      s.unit_succ_off.end() - 1);
-    for (std::uint32_t u = 0; u < fused_n; ++u) {
-      for (std::uint32_t e = s.unit_off[u]; e < s.unit_off[u + 1]; ++e) {
-        const std::uint32_t v = s.unit_nodes[e];
-        for (std::uint32_t pe = s.pred_off[v]; pe < s.pred_off[v + 1]; ++pe) {
-          const std::uint32_t pu = unit_of[s.pred_idx[pe]];
-          if (pu != u) s.unit_succ_idx[cursor[pu]++] = u;
-        }
-      }
-    }
-  }
-  s.unit_colors.resize(fused_n);
-  for (std::uint32_t u = 0; u < fused_n; ++u) {
-    if (s.unit_join[u] == 0) s.unit_roots.push_back(u);
-    s.unit_colors[u] = s.colors[s.unit_nodes[s.unit_off[u]]];
-  }
-
-  // --- freeze the key lookup (open addressing, linear probing, load <= 0.5).
-  std::uint64_t cap = 4;
-  while (cap < std::uint64_t{n} * 2) cap <<= 1;
-  const std::uint64_t mask = cap - 1;
-  s.slot_key.assign(cap, 0);
-  s.slot_idx.assign(cap, GraphPlan::kInvalidIndex);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::uint64_t h = splitmix64(s.keys[i]) & mask;
-    while (s.slot_idx[h] != GraphPlan::kInvalidIndex) {
-      h = (h + 1) & mask;
-    }
-    s.slot_key[h] = s.keys[i];
-    s.slot_idx[h] = i;
   }
 
   // --- publish the views, finalize the prototype as instance #0.
   FrozenPlan f;
   f.n = n;
   f.keys = s.keys;
-  f.colors = s.colors;
-  f.data_colors = s.data_colors;
   f.pred_off = s.pred_off;
   f.pred_idx = s.pred_idx;
-  f.succ_off = s.succ_off;
-  f.succ_idx = s.succ_idx;
-  f.initial_join = s.initial_join;
-  f.roots = s.roots;
-  f.slot_key = s.slot_key;
-  f.slot_idx = s.slot_idx;
-  f.slot_mask = mask;
   f.instance_slab_bytes = proto->slab_.bytes_allocated();
   f.fused_n = fused_n;
   f.passes = passes;
@@ -573,11 +470,9 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
   f.serial_lower = (passes & kPassTinyLower) != 0 && n < kTinyGraphMaxNodes;
   f.unit_off = s.unit_off;
   f.unit_nodes = s.unit_nodes;
-  f.unit_join = s.unit_join;
-  f.unit_succ_off = s.unit_succ_off;
-  f.unit_succ_idx = s.unit_succ_idx;
-  f.unit_roots = s.unit_roots;
-  f.unit_colors = s.unit_colors;
+  // Discovery keys nodes through a map, so no key can repeat.
+  const bool derived = derive_frozen(f, &spec, s.derived);
+  NABBITC_CHECK_MSG(derived, "discovery produced a duplicate key");
   f.backing = std::move(st);
   plan->f_ = std::move(f);
 
@@ -587,176 +482,157 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
 }
 
 // ---------------------------------------------------------------------------
-// validate_frozen / restore
+// validate_frozen / derive_frozen / restore
 
 bool validate_frozen(const FrozenPlan& f) {
   const std::uint64_t n = f.n;
   if (n == 0 || n >= GraphPlan::kInvalidIndex) return false;
-  if (f.keys.size() != n || f.colors.size() != n || f.data_colors.size() != n ||
-      f.initial_join.size() != n) {
-    return false;
-  }
-  if (f.pred_off.size() != n + 1 || f.succ_off.size() != n + 1) return false;
-  if (f.pred_off[0] != 0 || f.succ_off[0] != 0) return false;
+  if (f.keys.size() != n || f.pred_off.size() != n + 1) return false;
+  if (f.pred_off[0] != 0) return false;
 
-  // CSR offsets: monotone rows; join counters must equal predecessor counts
-  // (reset_for_replay rearms from initial_join, the skip/notify cascade
-  // counts down once per pred edge — any disagreement deadlocks a replay).
+  // CSR offsets: monotone rows. A DAG has at least one zero-predecessor
+  // node, and such a node heads a zero-join unit (the chain check below
+  // gives every later member its one predecessor inside the unit), so this
+  // is what guarantees derive_frozen() a non-empty root set.
+  bool has_root = false;
   for (std::uint64_t i = 0; i < n; ++i) {
     if (f.pred_off[i + 1] < f.pred_off[i]) return false;
-    if (f.succ_off[i + 1] < f.succ_off[i]) return false;
-    const std::uint32_t npreds = f.pred_off[i + 1] - f.pred_off[i];
-    if (f.initial_join[i] != static_cast<std::int32_t>(npreds)) return false;
+    if (f.pred_off[i + 1] == f.pred_off[i]) has_root = true;
   }
-  const std::uint64_t n_edges = f.pred_off[n];
-  if (f.succ_off[n] != n_edges) return false;
-  if (f.pred_idx.size() != n_edges || f.succ_idx.size() != n_edges) {
-    return false;
-  }
+  if (!has_root) return false;
+  if (f.pred_idx.size() != f.pred_off[n]) return false;
+  std::vector<std::uint32_t> out_degree(n, 0);
   for (const std::uint32_t v : f.pred_idx) {
     if (v >= n) return false;
+    ++out_degree[v];
   }
 
-  // Roots: exactly the ascending set of zero-pred indices, and the sink
-  // (index 0) is never a root unless it is the whole graph.
-  {
-    std::size_t r = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (f.pred_off[i + 1] != f.pred_off[i]) continue;
-      if (r >= f.roots.size() || f.roots[r] != i) return false;
-      ++r;
-    }
-    if (r != f.roots.size()) return false;
-    if (f.roots.empty()) return false;  // a DAG always has >= 1 root
-  }
-
-  // Successor rows must be the exact transpose in compile()'s emission
-  // order (iterate nodes in index order, append to each pred's row) — the
-  // replay path walks successors() verbatim, and serialization must be
-  // bitwise reproducible.
-  {
-    std::vector<std::uint32_t> cursor(f.succ_off.begin(), f.succ_off.end() - 1);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      for (std::uint32_t e = f.pred_off[i]; e < f.pred_off[i + 1]; ++e) {
-        const std::uint32_t pi = f.pred_idx[e];
-        const std::uint32_t c = cursor[pi]++;
-        if (c >= f.succ_off[pi + 1]) return false;
-        if (f.succ_idx[c] != static_cast<std::uint32_t>(i)) return false;
+  // Fused units: unit_off must partition a permutation of the node set
+  // into non-empty runs, and every intra-unit consecutive pair must be a
+  // real fanout-1/fanin-1 edge — serial in-unit execution is only legal
+  // then.
+  const std::uint64_t fn = f.fused_n;
+  if (fn == 0 || fn > n) return false;
+  if (f.unit_off.size() != fn + 1 || f.unit_nodes.size() != n) return false;
+  if (f.unit_off[0] != 0 || f.unit_off[fn] != n) return false;
+  std::vector<std::uint8_t> placed(n, 0);
+  for (std::uint64_t u = 0; u < fn; ++u) {
+    if (f.unit_off[u + 1] <= f.unit_off[u]) return false;  // >= 1 node
+    for (std::uint32_t e = f.unit_off[u]; e < f.unit_off[u + 1]; ++e) {
+      const std::uint32_t v = f.unit_nodes[e];
+      if (v >= n || placed[v]) return false;
+      placed[v] = 1;
+      if (e > f.unit_off[u]) {
+        const std::uint32_t a = f.unit_nodes[e - 1];
+        if (f.pred_off[v + 1] - f.pred_off[v] != 1) return false;
+        if (f.pred_idx[f.pred_off[v]] != a) return false;
+        if (out_degree[a] != 1) return false;
       }
-    }
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (cursor[i] != f.succ_off[i + 1]) return false;
     }
   }
+  // (n entries, all distinct, all < n ⇒ unit_nodes is a permutation.)
 
-  // Key table: power-of-two capacity with load <= 0.5 (compile() sizes
-  // cap >= 2n, which is what bounds linear-probe scans), a bijection onto
-  // the plan indices, and every entry reachable by its own probe sequence
-  // so index_of() terminates for every key — and for absent keys, since an
-  // empty slot is always in reach at this load factor.
-  {
-    const std::uint64_t cap = f.slot_key.size();
-    if (cap == 0 || (cap & (cap - 1)) != 0) return false;
-    if (f.slot_idx.size() != cap) return false;
-    if (f.slot_mask != cap - 1) return false;
-    if (cap < n * 2) return false;
-    std::vector<std::uint8_t> seen(n, 0);
-    for (std::uint64_t sidx = 0; sidx < cap; ++sidx) {
-      const std::uint32_t idx = f.slot_idx[sidx];
-      if (idx == GraphPlan::kInvalidIndex) continue;
-      if (idx >= n) return false;
-      if (seen[idx]) return false;
-      seen[idx] = 1;
-      if (f.slot_key[sidx] != f.keys[idx]) return false;
-      // Reachability: the probe walk from the key's home slot must hit
-      // this slot before any empty one.
-      std::uint64_t h = splitmix64(f.keys[idx]) & f.slot_mask;
-      while (h != sidx) {
-        if (f.slot_idx[h] == GraphPlan::kInvalidIndex) return false;
-        h = (h + 1) & f.slot_mask;
-      }
+  // Serial lowering is only legal for tiny plans (the micro-interpreter
+  // uses a fixed-size ready stack); refuse an artifact claiming otherwise.
+  if (f.serial_lower && n >= kTinyGraphMaxNodes) return false;
+  // Slab sizing is a hint re-measured per instance block, but an absurd
+  // value would make the first allocation fail noisily; bound it.
+  if (f.instance_slab_bytes > (std::uint64_t{1} << 31)) return false;
+  return true;
+}
+
+bool derive_frozen(FrozenPlan& f, const GraphSpec* spec, DerivedArrays& d) {
+  const std::uint32_t n = f.n;
+  const std::uint32_t fused_n = f.fused_n;
+
+  // Key lookup: open addressing, linear probing, load <= 0.5 (cap >= 2n is
+  // what bounds probe scans and keeps an empty slot in reach of every
+  // absent key). Inserting a key twice is the one way persisted arrays
+  // can break the table, so the build refuses it.
+  std::uint64_t cap = 4;
+  while (cap < std::uint64_t{n} * 2) cap <<= 1;
+  const std::uint64_t mask = cap - 1;
+  d.slot_key.assign(cap, 0);
+  d.slot_idx.assign(cap, GraphPlan::kInvalidIndex);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::uint64_t h = splitmix64(f.keys[i]) & mask;
+    while (d.slot_idx[h] != GraphPlan::kInvalidIndex) {
+      if (d.slot_key[h] == f.keys[i]) return false;
+      h = (h + 1) & mask;
     }
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (!seen[i]) return false;
-    }
+    d.slot_key[h] = f.keys[i];
+    d.slot_idx[h] = i;
   }
 
-  // Fused-unit schedule: unit_off must partition a permutation of the node
-  // set into chains, and every intra-unit consecutive pair must be a real
-  // fanout-1/fanin-1 edge — serial in-unit execution is only legal then.
-  // Join counts and unit successor rows must match the canonical cross-unit
-  // emission exactly (units in order, members in chain order, pred rows in
-  // declaration order); replay arms join counters straight from unit_join,
-  // so any disagreement deadlocks or double-fires a replay.
+  // Cross-unit schedule: per-unit join counts (with edge multiplicity) and
+  // the unit-level successor transpose, in canonical emission order (units
+  // in order, members in chain order, pred rows in declaration order).
+  std::vector<std::uint32_t> unit_of(n);
+  for (std::uint32_t u = 0; u < fused_n; ++u) {
+    for (std::uint32_t e = f.unit_off[u]; e < f.unit_off[u + 1]; ++e) {
+      unit_of[f.unit_nodes[e]] = u;
+    }
+  }
+  d.unit_join.assign(fused_n, 0);
+  d.unit_succ_off.assign(fused_n + 1, 0);
+  for (std::uint32_t u = 0; u < fused_n; ++u) {
+    for (std::uint32_t e = f.unit_off[u]; e < f.unit_off[u + 1]; ++e) {
+      const std::uint32_t v = f.unit_nodes[e];
+      for (std::uint32_t pe = f.pred_off[v]; pe < f.pred_off[v + 1]; ++pe) {
+        const std::uint32_t pu = unit_of[f.pred_idx[pe]];
+        if (pu == u) continue;
+        ++d.unit_join[u];
+        ++d.unit_succ_off[pu + 1];
+      }
+    }
+  }
+  for (std::uint32_t u = 0; u < fused_n; ++u) {
+    d.unit_succ_off[u + 1] += d.unit_succ_off[u];
+  }
+  d.unit_succ_idx.assign(d.unit_succ_off[fused_n], 0);
   {
-    const std::uint64_t fn = f.fused_n;
-    if (fn == 0 || fn > n) return false;
-    if (f.unit_off.size() != fn + 1 || f.unit_nodes.size() != n) return false;
-    if (f.unit_join.size() != fn || f.unit_succ_off.size() != fn + 1) {
-      return false;
-    }
-    if (f.unit_roots.size() > fn || f.unit_colors.size() != fn) return false;
-    if (f.unit_off[0] != 0 || f.unit_off[fn] != n) return false;
-    std::vector<std::uint32_t> unit_of(n, GraphPlan::kInvalidIndex);
-    for (std::uint64_t u = 0; u < fn; ++u) {
-      if (f.unit_off[u + 1] <= f.unit_off[u]) return false;  // >= 1 node
-      for (std::uint32_t e = f.unit_off[u]; e < f.unit_off[u + 1]; ++e) {
-        const std::uint32_t v = f.unit_nodes[e];
-        if (v >= n || unit_of[v] != GraphPlan::kInvalidIndex) return false;
-        unit_of[v] = static_cast<std::uint32_t>(u);
-        if (e > f.unit_off[u]) {
-          const std::uint32_t a = f.unit_nodes[e - 1];
-          if (f.pred_off[v + 1] - f.pred_off[v] != 1) return false;
-          if (f.pred_idx[f.pred_off[v]] != a) return false;
-          if (f.succ_off[a + 1] - f.succ_off[a] != 1) return false;
-          if (f.succ_idx[f.succ_off[a]] != v) return false;
-        }
-      }
-      if (f.unit_colors[u] != f.colors[f.unit_nodes[f.unit_off[u]]]) {
-        return false;
-      }
-    }
-    // (n entries, all distinct, all < n ⇒ unit_nodes is a permutation.)
-    if (f.unit_succ_off[0] != 0) return false;
-    for (std::uint64_t u = 0; u < fn; ++u) {
-      if (f.unit_succ_off[u + 1] < f.unit_succ_off[u]) return false;
-    }
-    if (f.unit_succ_idx.size() != f.unit_succ_off[fn]) return false;
-    std::vector<std::int32_t> join(fn, 0);
-    std::vector<std::uint32_t> cursor(f.unit_succ_off.begin(),
-                                      f.unit_succ_off.end() - 1);
-    std::size_t r = 0;
-    for (std::uint64_t u = 0; u < fn; ++u) {
+    std::vector<std::uint32_t> cursor(d.unit_succ_off.begin(),
+                                      d.unit_succ_off.end() - 1);
+    for (std::uint32_t u = 0; u < fused_n; ++u) {
       for (std::uint32_t e = f.unit_off[u]; e < f.unit_off[u + 1]; ++e) {
         const std::uint32_t v = f.unit_nodes[e];
         for (std::uint32_t pe = f.pred_off[v]; pe < f.pred_off[v + 1]; ++pe) {
           const std::uint32_t pu = unit_of[f.pred_idx[pe]];
-          if (pu == u) continue;
-          ++join[u];
-          const std::uint32_t c = cursor[pu]++;
-          if (c >= f.unit_succ_off[pu + 1]) return false;
-          if (f.unit_succ_idx[c] != static_cast<std::uint32_t>(u)) return false;
+          if (pu != u) d.unit_succ_idx[cursor[pu]++] = u;
         }
       }
-      if (f.unit_join[u] != join[u]) return false;
-      if (join[u] == 0) {
-        if (r >= f.unit_roots.size() || f.unit_roots[r] != u) return false;
-        ++r;
-      }
     }
-    if (r != f.unit_roots.size()) return false;
-    if (f.unit_roots.empty()) return false;
-    for (std::uint64_t u = 0; u < fn; ++u) {
-      if (cursor[u] != f.unit_succ_off[u + 1]) return false;
-    }
-    // Serial lowering is only legal for tiny plans (the micro-interpreter
-    // uses a fixed-size ready stack); refuse an artifact claiming otherwise.
-    if (f.serial_lower && n >= kTinyGraphMaxNodes) return false;
+  }
+  for (std::uint32_t u = 0; u < fused_n; ++u) {
+    if (d.unit_join[u] == 0) d.unit_roots.push_back(u);
   }
 
-  // Slab sizing is a hint re-measured per instance block, but an absurd
-  // value would make the first allocation fail noisily; bound it.
-  if (f.instance_slab_bytes > (std::uint64_t{1} << 31)) return false;
+  // Colors come from the spec that will run the plan, never from the
+  // artifact: RemoteGraphSpec folds wire colors into the serving runtime's
+  // worker count, so a plan compiled at another width must be recolored.
+  if (spec != nullptr) {
+    d.colors.resize(n);
+    d.data_colors.resize(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      d.colors[i] = spec->color_of(f.keys[i]);
+      d.data_colors[i] = spec->data_color_of(f.keys[i]);
+    }
+    d.unit_colors.resize(fused_n);
+    for (std::uint32_t u = 0; u < fused_n; ++u) {
+      d.unit_colors[u] = d.colors[f.unit_nodes[f.unit_off[u]]];
+    }
+  }
+
+  f.colors = d.colors;
+  f.data_colors = d.data_colors;
+  f.slot_key = d.slot_key;
+  f.slot_idx = d.slot_idx;
+  f.slot_mask = mask;
+  f.unit_join = d.unit_join;
+  f.unit_succ_off = d.unit_succ_off;
+  f.unit_succ_idx = d.unit_succ_idx;
+  f.unit_roots = d.unit_roots;
+  f.unit_colors = d.unit_colors;
   return true;
 }
 
@@ -767,12 +643,16 @@ std::unique_ptr<GraphPlan> restore(GraphSpec& spec, Key sink,
   // path — re-check rather than trust, and refuse rather than abort.
   if (!validate_frozen(f)) return nullptr;
   if (f.keys[0] != sink) return nullptr;
+  auto st = std::make_shared<RestoredStorage>();
+  st->persisted = std::move(f.backing);
+  if (!derive_frozen(f, &spec, st->derived)) return nullptr;
+  f.backing = std::move(st);
   auto plan = std::unique_ptr<GraphPlan>(new GraphPlan(spec, sink, opts));
   plan->f_ = std::move(f);
 
-  // No discovery, no CSR construction: go straight to binding the spec's
-  // node factories against the frozen structure. try_build() re-derives
-  // the topology from the spec and refuses any disagreement, which is what
+  // No discovery, no passes: go straight to binding the spec's node
+  // factories against the frozen structure. try_build() re-derives the
+  // topology from the spec and refuses any disagreement, which is what
   // lets callers hand restore() an artifact of unknown provenance.
   auto proto = std::unique_ptr<PlanInstance>(new PlanInstance(*plan));
   if (!proto->try_build()) return nullptr;

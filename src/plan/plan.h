@@ -9,7 +9,8 @@
 // plan::compile() walks the spec once from the sink (without computing
 // anything) and lowers it into an immutable GraphPlan:
 //
-//   * topology frozen into CSR predecessor/successor index arrays;
+//   * topology frozen into CSR predecessor index arrays, plus the fused-unit
+//     schedule the replay dispatches;
 //   * per-node scheduling colors and true data colors (the NabbitC locality
 //     hints) precomputed;
 //   * the key -> node-index lookup frozen into an open-addressed table;
@@ -18,8 +19,9 @@
 //
 // The frozen form is deliberately POD: every array lives behind a
 // FrozenPlan of read-only views, so a plan can be serialized to an on-disk
-// PlanBlob and later restore()d — with the views pointing straight into an
-// mmap'd file — without copying or recompiling (see src/persist/).
+// PlanBlob and later restore()d without recompiling (see src/persist/): the
+// persisted arrays are read straight out of the mmap'd file, and the rest
+// is re-derived from them by the same code compile() uses.
 //
 // Replaying the plan acquires a pooled PlanInstance — join counters, node
 // payload slots, the reusable root-job submission frame — resets it, and
@@ -110,57 +112,80 @@ struct CompileOptions {
 class GraphPlan;
 
 /// The immutable POD guts of a compiled plan, exposed as read-only views
-/// plus the type-erased storage that keeps them alive. compile() points
-/// the views at heap vectors; the persist layer (src/persist/) points them
-/// straight into an mmap'd PlanBlob — the replay hot path reads through
-/// the same views either way, which is what makes blob loading zero-copy.
+/// plus the type-erased storage that keeps them alive. The first group is
+/// what compile() DECIDED (discovery, the fusion partition, the layout) —
+/// exactly what a PlanBlob persists (src/persist/), so on load those views
+/// point straight into the mapped file. The second group is DERIVED from
+/// the first (and the spec) by derive_frozen(), which compile() and
+/// restore() both call; it is never persisted. The replay hot path reads
+/// through the same views either way.
 struct FrozenPlan {
+  // --- persisted: compile()'s decisions.
   std::uint32_t n = 0;                        // nodes; index 0 is the sink
   std::span<const Key> keys;                  // plan index -> key
-  std::span<const numa::Color> colors;        // scheduling colors
-  std::span<const numa::Color> data_colors;   // true data placement
   std::span<const std::uint32_t> pred_off;    // CSR row offsets, size n+1
   std::span<const std::uint32_t> pred_idx;
-  std::span<const std::uint32_t> succ_off;    // transpose rows, size n+1
-  std::span<const std::uint32_t> succ_idx;
-  std::span<const std::int32_t> initial_join;  // == predecessor counts
-  std::span<const std::uint32_t> roots;        // zero-pred indices, ascending
-  std::span<const Key> slot_key;               // open-addressed key table
-  std::span<const std::uint32_t> slot_idx;     //   (power-of-two, load <= .5)
-  std::uint64_t slot_mask = 0;
   /// Payload bytes one instance's nodes need (measured on the prototype).
   std::uint64_t instance_slab_bytes = 0;
-
-  // --- fused-unit schedule (the chain-fusion pass's output; with fusion
-  // disabled every unit is a singleton and these mirror the node arrays).
-  // The scheduler dispatches UNITS: a unit's nodes run serially in
-  // unit_nodes order, and the per-replay join counters are per unit. The
-  // per-node arrays above stay authoritative for lookups, validation, and
-  // the dependence asserts.
+  // Fused units (the chain-fusion pass's output; with fusion disabled every
+  // unit is a singleton). The scheduler dispatches UNITS: a unit's nodes
+  // run serially in unit_nodes order, and the per-replay join counters are
+  // per unit. The per-node arrays stay authoritative for lookups,
+  // validation, and the dependence asserts.
   std::uint32_t fused_n = 0;                     // units; 1 <= fused_n <= n
   std::uint32_t passes = 0;                      // kPass* mask applied
   bool serial_lower = false;                     // tiny-graph serial replay
   std::span<const std::uint32_t> unit_off;       // CSR rows into unit_nodes,
   std::span<const std::uint32_t> unit_nodes;     //   size fused_n+1 / n
+
+  // --- derived by derive_frozen().
+  std::span<const numa::Color> colors;        // scheduling colors
+  std::span<const numa::Color> data_colors;   // true data placement
+  std::span<const Key> slot_key;               // open-addressed key table
+  std::span<const std::uint32_t> slot_idx;     //   (power-of-two, load <= .5)
+  std::uint64_t slot_mask = 0;
   std::span<const std::int32_t> unit_join;       // cross-unit in-edge counts
   std::span<const std::uint32_t> unit_succ_off;  // cross-unit transpose rows
   std::span<const std::uint32_t> unit_succ_idx;
   std::span<const std::uint32_t> unit_roots;     // zero-join units, ascending
   std::span<const numa::Color> unit_colors;      // entry-node colors
-  /// Keeps whatever the views point into alive — owned vectors or a mapped
-  /// blob. plan/ never looks inside; only destruction order matters.
+  /// Keeps whatever the views point into alive — owned vectors, or a
+  /// mapped blob plus the derived arrays. plan/ never looks inside; only
+  /// destruction order matters.
   std::shared_ptr<const void> backing;
 };
 
-/// Structural validation of UNTRUSTED frozen arrays (the blob-load path):
-/// checks every invariant compile() guarantees by construction — consistent
-/// span sizes, monotone CSR offsets, in-range indices, join counts equal to
-/// predecessor counts, the exact ascending root set, successor rows that
-/// are the exact transpose of the predecessor rows in compile's emission
-/// order, and a bijective key table with load <= 0.5 whose every entry is
-/// reachable by its own probe sequence (lookup termination). Returns false
-/// instead of aborting; restore() requires it to have passed.
+/// Owned storage for the arrays derive_frozen() builds.
+struct DerivedArrays {
+  std::vector<numa::Color> colors;
+  std::vector<numa::Color> data_colors;
+  std::vector<Key> slot_key;
+  std::vector<std::uint32_t> slot_idx;
+  std::vector<std::int32_t> unit_join;
+  std::vector<std::uint32_t> unit_succ_off;
+  std::vector<std::uint32_t> unit_succ_idx;
+  std::vector<std::uint32_t> unit_roots;
+  std::vector<numa::Color> unit_colors;
+};
+
+/// Structural validation of UNTRUSTED persisted arrays (the blob-load
+/// path): consistent span sizes, monotone CSR offsets, in-range indices, at
+/// least one zero-predecessor node, a unit partition that is a permutation
+/// of the nodes into non-empty runs whose every consecutive pair is a
+/// fanout-1/fanin-1 edge, serial lowering only under kTinyGraphMaxNodes.
+/// Reads only the persisted group of `f`. Returns false instead of
+/// aborting; derive_frozen() and restore() require it to have passed.
 bool validate_frozen(const FrozenPlan& f);
+
+/// Builds the derived group of `f` from its persisted group, into `d`,
+/// and points f's derived views at it: the key table, the cross-unit
+/// schedule (join counts with edge multiplicity, the unit successor
+/// transpose, the ascending zero-join roots) and, when `spec` is non-null,
+/// the scheduling/data colors from spec->color_of/data_color_of and each
+/// unit's entry-node color. With a null spec (offline inspection) the color
+/// views stay empty. Returns false — leaving `f` unusable — when two nodes
+/// share a key. The one derivation compile() and restore() share.
+bool derive_frozen(FrozenPlan& f, const GraphSpec* spec, DerivedArrays& d);
 
 /// Mutable per-execution state of one plan replay: the node payload slots,
 /// the join-counter array, and the embedded submission frame. Instances are
@@ -294,11 +319,6 @@ class GraphPlan {
     return {f_.pred_idx.data() + f_.pred_off[i],
             f_.pred_off[i + 1] - f_.pred_off[i]};
   }
-  std::span<const std::uint32_t> successors(std::uint32_t i) const noexcept {
-    return {f_.succ_idx.data() + f_.succ_off[i],
-            f_.succ_off[i + 1] - f_.succ_off[i]};
-  }
-  std::span<const std::uint32_t> roots() const noexcept { return f_.roots; }
 
   /// Frozen key -> plan-index lookup; kInvalidIndex for unknown keys.
   std::uint32_t index_of(Key key) const noexcept;
@@ -391,14 +411,17 @@ class GraphPlan {
 std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
                                    const CompileOptions& opts = {});
 
-/// Rebuilds a plan from previously frozen arrays (the persist load path):
-/// skips discovery, CSR construction, coloring, and key-table building
-/// entirely, going straight to instance building — which re-binds the
-/// spec's node factories and cross-checks the spec against the frozen
-/// topology. `f` must have passed validate_frozen(); its views may point
-/// into a mapped blob (f.backing keeps it alive). Returns nullptr — never
-/// aborts — when keys[0] != sink or the spec disagrees with the frozen
-/// structure (a stale or foreign artifact); callers fall back to compile().
+/// Rebuilds a plan from previously persisted arrays (the persist load
+/// path): skips discovery and the optimization passes, re-derives the
+/// schedule, key table and colors with derive_frozen() against THIS spec
+/// (so colors follow the loading runtime's width), then builds instances —
+/// which re-binds the spec's node factories and cross-checks the spec
+/// against the frozen topology. Only f's persisted group is read; its
+/// views may point into a mapped blob (f.backing keeps it alive, and the
+/// derived arrays are owned next to it). Returns nullptr — never aborts —
+/// when validate_frozen() fails, keys[0] != sink, two nodes share a key, or
+/// the spec disagrees with the frozen structure (a stale or foreign
+/// artifact); callers fall back to compile().
 /// Prefer the api::Runtime::restore_plan wrapper, which also refuses an
 /// artifact whose recorded options disagree with the runtime's variant.
 std::unique_ptr<GraphPlan> restore(GraphSpec& spec, Key sink,

@@ -65,23 +65,6 @@ struct WorkerCounters {
     locality.merge(o.locality);
   }
 
-  /// Subtracts an earlier snapshot (delta accounting, api::Execution).
-  void subtract(const WorkerCounters& o) noexcept {
-    tasks_executed -= o.tasks_executed;
-    spawns -= o.spawns;
-    steal_attempts_colored -= o.steal_attempts_colored;
-    steal_attempts_random -= o.steal_attempts_random;
-    steals_colored -= o.steals_colored;
-    steals_random -= o.steals_random;
-    first_steal_attempts -= o.first_steal_attempts;
-    first_steal_wait_ns -= o.first_steal_wait_ns;
-    first_steal_forced_abandoned -= o.first_steal_forced_abandoned;
-    idle_ns -= o.idle_ns;
-    roots_cancelled -= o.roots_cancelled;
-    roots_deadline_expired -= o.roots_deadline_expired;
-    locality.subtract(o.locality);
-  }
-
   void reset() noexcept { *this = WorkerCounters{}; }
 };
 

@@ -15,9 +15,9 @@
 //     node's color lives in a different NUMA domain than the worker, plus a
 //     per-dependence check overhead; every steal attempt costs steal_cost.
 //
-// This is the substitution for the paper's 80-core machine (see DESIGN.md):
-// speedup curves, remote-access percentages, steal counts, and first-steal
-// wait times at any P come from here.
+// This is the substitution for the paper's 80-core machine (see README,
+// "Paper mapping"): speedup curves, remote-access percentages, steal
+// counts, and first-steal wait times at any P come from here.
 //
 // simulate_loop() models the OpenMP baselines on the same DAG: barrier-
 // synchronized topological levels with static / dynamic / guided chunking.

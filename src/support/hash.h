@@ -26,7 +26,7 @@ inline constexpr std::uint64_t kFnv1a64Offset = 0xcbf29ce484222325ULL;
 inline constexpr std::uint64_t kFnv1a64Prime = 0x100000001b3ULL;
 
 /// Plain FNV-1a over bytes; chainable through `seed` for split buffers.
-/// Used directly as the PlanBlob header checksum (192 fixed bytes — the
+/// Used directly as the PlanBlob header checksum (136 fixed bytes — the
 /// variable-length body uses bulk_hash_64 below).
 constexpr std::uint64_t fnv1a_64(std::span<const std::uint8_t> bytes,
                                  std::uint64_t seed = kFnv1a64Offset) noexcept {

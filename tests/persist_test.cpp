@@ -9,6 +9,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -34,6 +35,7 @@ namespace nabbitc::persist {
 namespace {
 
 using api::Variant;
+using nabbit::Key;
 
 api::Runtime make_runtime(Variant v) {
   api::RuntimeOptions opts;
@@ -123,23 +125,20 @@ TEST(PlanBlob, RoundTripBitwise) {
                  std::span<const std::uint8_t>{c.canon.data(), c.canon.size()},
                  "spec bytes");
 
-  // Every frozen array must round-trip bitwise.
+  // Every persisted array must round-trip bitwise (the derived ones are
+  // not in the blob; RestoredPlanReplaysIdentically compares those).
   const plan::FrozenPlan& a = c.plan->frozen();
   const plan::FrozenPlan b = p.view.frozen(p.bytes);
   EXPECT_EQ(a.n, b.n);
-  EXPECT_EQ(a.slot_mask, b.slot_mask);
   EXPECT_EQ(a.instance_slab_bytes, b.instance_slab_bytes);
+  EXPECT_EQ(a.fused_n, b.fused_n);
+  EXPECT_EQ(a.passes, b.passes);
+  EXPECT_EQ(a.serial_lower, b.serial_lower);
   expect_span_eq(a.keys, b.keys, "keys");
-  expect_span_eq(a.colors, b.colors, "colors");
-  expect_span_eq(a.data_colors, b.data_colors, "data_colors");
   expect_span_eq(a.pred_off, b.pred_off, "pred_off");
   expect_span_eq(a.pred_idx, b.pred_idx, "pred_idx");
-  expect_span_eq(a.succ_off, b.succ_off, "succ_off");
-  expect_span_eq(a.succ_idx, b.succ_idx, "succ_idx");
-  expect_span_eq(a.initial_join, b.initial_join, "initial_join");
-  expect_span_eq(a.roots, b.roots, "roots");
-  expect_span_eq(a.slot_key, b.slot_key, "slot_key");
-  expect_span_eq(a.slot_idx, b.slot_idx, "slot_idx");
+  expect_span_eq(a.unit_off, b.unit_off, "unit_off");
+  expect_span_eq(a.unit_nodes, b.unit_nodes, "unit_nodes");
 
   // Serialization is deterministic: same plan, same bytes (padding zeroed).
   const auto again = serialize_plan(*c.plan, {c.canon.data(), c.canon.size()},
@@ -174,6 +173,20 @@ TEST(PlanBlob, RestoredPlanReplaysIdentically) {
       *restored, {c.canon.data(), c.canon.size()}, c.hash);
   ASSERT_EQ(reblob.size(), c.blob.size());
   EXPECT_EQ(std::memcmp(reblob.data(), c.blob.data(), c.blob.size()), 0);
+
+  // At the same runtime width, the arrays restore derives equal compile's.
+  const plan::FrozenPlan& a = c.plan->frozen();
+  const plan::FrozenPlan& b = restored->frozen();
+  EXPECT_EQ(a.slot_mask, b.slot_mask);
+  expect_span_eq(a.colors, b.colors, "colors");
+  expect_span_eq(a.data_colors, b.data_colors, "data_colors");
+  expect_span_eq(a.slot_key, b.slot_key, "slot_key");
+  expect_span_eq(a.slot_idx, b.slot_idx, "slot_idx");
+  expect_span_eq(a.unit_join, b.unit_join, "unit_join");
+  expect_span_eq(a.unit_succ_off, b.unit_succ_off, "unit_succ_off");
+  expect_span_eq(a.unit_succ_idx, b.unit_succ_idx, "unit_succ_idx");
+  expect_span_eq(a.unit_roots, b.unit_roots, "unit_roots");
+  expect_span_eq(a.unit_colors, b.unit_colors, "unit_colors");
 
   // And it replays: every node computes, repeatedly, on pooled instances.
   for (int round = 0; round < 3; ++round) {
@@ -250,19 +263,60 @@ TEST(PlanBlob, DistinctErrorsForEachRefusal) {
     PlanBlobView view;
     EXPECT_EQ(view.parse({bad.data(), bad.size()}), BlobError::kTruncated);
   }
-  // Structural damage that survives resealing: a join counter that
-  // disagrees with the predecessor count would deadlock a replay.
-  {
+  // Structural damage that survives resealing, one per persisted-array
+  // invariant: `mutate` edits the body of a copy, which is then resealed.
+  auto doctored_body = [&](auto&& mutate) {
     std::vector<std::uint8_t> bad = c.blob;
     PlanBlobHeader h;
     std::memcpy(&h, bad.data(), sizeof(h));
-    std::int32_t j;
-    std::memcpy(&j, bad.data() + h.section_off[kSecInitialJoin], sizeof(j));
-    j += 1;
-    std::memcpy(bad.data() + h.section_off[kSecInitialJoin], &j, sizeof(j));
+    mutate(bad.data(), h);
     reseal_blob({bad.data(), bad.size()});
+    return bad;
+  };
+  // A predecessor index past the last node would make a replay (and the
+  // schedule derivation) read out of bounds.
+  {
+    auto bad = doctored_body([&](std::uint8_t* b, const PlanBlobHeader& h) {
+      const std::uint32_t past_end = c.plan->num_nodes();
+      std::memcpy(b + h.section_off[kSecPredIdx], &past_end, sizeof(past_end));
+    });
     PlanBlobView view;
     EXPECT_EQ(view.parse({bad.data(), bad.size()}), BlobError::kBadStructure);
+  }
+  // A fused unit whose consecutive members are not a fanout-1/fanin-1 edge
+  // would run a node before its predecessor: swap a chain's first two
+  // members.
+  {
+    const plan::FrozenPlan& f = c.plan->frozen();
+    std::uint32_t u = 0;
+    while (u < f.fused_n && f.unit_off[u + 1] - f.unit_off[u] < 2) ++u;
+    ASSERT_LT(u, f.fused_n) << "graph fused no chain";
+    auto bad = doctored_body([&](std::uint8_t* b, const PlanBlobHeader& h) {
+      std::uint8_t* first = b + h.section_off[kSecUnitNodes] +
+                            f.unit_off[u] * sizeof(std::uint32_t);
+      std::swap_ranges(first, first + sizeof(std::uint32_t),
+                       first + sizeof(std::uint32_t));
+    });
+    PlanBlobView view;
+    EXPECT_EQ(view.parse({bad.data(), bad.size()}), BlobError::kBadStructure);
+  }
+  // A duplicated key passes every per-array check; the key-table build
+  // refuses it, so restore returns nullptr (the caller recompiles) instead
+  // of serving a plan whose lookups alias two nodes.
+  {
+    auto bad = doctored_body([&](std::uint8_t* b, const PlanBlobHeader& h) {
+      std::uint8_t* keys = b + h.section_off[kSecKeys];
+      std::memcpy(keys + 2 * sizeof(Key), keys + sizeof(Key), sizeof(Key));
+    });
+    PlanBlobView view;
+    ASSERT_EQ(view.parse({bad.data(), bad.size()}), BlobError::kOk);
+    plan::FrozenPlan doctored = view.frozen(nullptr);
+    plan::DerivedArrays d;
+    EXPECT_FALSE(plan::derive_frozen(doctored, nullptr, d));
+    net::RemoteGraphSpec spec2(c.g, rt.workers());
+    EXPECT_EQ(rt.restore_plan(spec2, c.g.sink(), view.frozen(nullptr),
+                              view.colored(), view.count_locality()),
+              nullptr);
   }
   // Trailing junk (resealed, so checksums pass) is a layout error: the
   // recomputed section layout cannot account for the extra bytes.
@@ -322,6 +376,51 @@ TEST(PlanRestore, VariantMismatchRefused) {
   EXPECT_EQ(nb.restore_plan(spec2, g2.sink(), p.view.frozen(p.bytes),
                             p.view.colored(), p.view.count_locality()),
             nullptr);
+}
+
+// Colors are not persisted: RemoteGraphSpec folds wire colors into the
+// serving runtime's worker count, so an artifact compiled at 4 workers and
+// loaded at 2 must take its colors from the loading spec — a frozen color
+// of 2 or 3 would name a worker that does not exist, and colored steals and
+// the locality counts would be wrong for that half of the graph.
+TEST(PlanRestore, ColorsFollowTheLoadingRuntime) {
+  api::RuntimeOptions wide;
+  wide.workers = 4;
+  wide.variant = Variant::kNabbitC;
+  api::Runtime rt4(wide);
+  const net::WireGraph g = net::make_wavefront_wire_graph(32, 0xc010);
+  const auto canon = canon_of(g);
+  const std::uint64_t hash = content_hash({canon.data(), canon.size()});
+  net::RemoteGraphSpec spec4(g, rt4.workers());
+  auto plan4 = rt4.compile(spec4, g.sink());
+  ParsedBlob p = parse_copy(
+      serialize_plan(*plan4, {canon.data(), canon.size()}, hash));
+  ASSERT_EQ(p.error, BlobError::kOk) << blob_error_name(p.error);
+
+  auto rt2 = make_runtime(Variant::kNabbitC);
+  ASSERT_EQ(rt2.workers(), 2u);
+  net::RemoteGraphSpec spec2(g, 2);
+  auto restored = rt2.restore_plan(spec2, g.sink(), p.view.frozen(p.bytes),
+                                   p.view.colored(), p.view.count_locality());
+  ASSERT_NE(restored, nullptr);
+  std::uint32_t stale = 0;
+  for (std::uint32_t i = 0; i < restored->num_nodes(); ++i) {
+    const numa::Color want = spec2.color_of(restored->key_of(i));
+    if (restored->color_of(i) != want || restored->color_of(i) >= 2) ++stale;
+  }
+  EXPECT_EQ(stale, 0u) << "of " << restored->num_nodes() << " nodes";
+
+  auto fresh = rt2.compile(spec2, g.sink());
+  api::Execution er = rt2.run(*restored);
+  api::Execution ef = rt2.run(*fresh);
+  ASSERT_EQ(er.status().state, api::ExecStatus::kCompleted);
+  ASSERT_EQ(ef.status().state, api::ExecStatus::kCompleted);
+  const auto* rs = static_cast<const net::ServeNode*>(er.find(g.sink()));
+  const auto* fs = static_cast<const net::ServeNode*>(ef.find(g.sink()));
+  ASSERT_NE(rs, nullptr);
+  ASSERT_NE(fs, nullptr);
+  EXPECT_EQ(rs->value, fs->value);
+  EXPECT_EQ(rs->value, net::expected_sink_value(g));
 }
 
 // ---------------------------------------------------------------- MappedFile

@@ -4,12 +4,14 @@
 // start doesn't behave (plans_compiled != 0 after a restart), the operator
 // needs to see WHY a blob was refused without attaching a debugger to the
 // daemon. This tool runs the exact parser the server runs (persist/
-// plan_blob.h) and reports the exact BlobError, plus human-readable header
-// and topology dumps.
+// plan_blob.h) and the schedule derivation restore runs
+// (plan::derive_frozen), reports the exact BlobError, and prints
+// human-readable header and topology dumps. Colors are not shown: they are
+// not in the blob, but derived from the loading runtime's spec.
 //
 //   nabbitc-planc validate FILE...   parse each blob, print verdicts
 //   nabbitc-planc info FILE...       validate + header/graph summary
-//   nabbitc-planc dump FILE          info + full per-node topology
+//   nabbitc-planc dump FILE          info + per-node topology + unit schedule
 //   nabbitc-planc ls DIR             validate every plan-*.nbpb in a cache dir
 //
 // Exit status: 0 = every inspected blob parsed clean, 1 = at least one was
@@ -40,10 +42,11 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Maps + parses one blob. Returns true iff it parsed clean; always prints
-/// a one-line verdict.
+/// Maps + parses one blob and derives its schedule into `f`/`d`. Returns
+/// true iff both succeeded; always prints a one-line verdict.
 bool inspect(const std::string& path, persist::MappedFile& file,
-             persist::PlanBlobView& view) {
+             persist::PlanBlobView& view, plan::FrozenPlan& f,
+             plan::DerivedArrays& d) {
   std::string err;
   if (!file.open(path, &err)) {
     // An unreadable file is an operational error, not a parse verdict:
@@ -57,11 +60,19 @@ bool inspect(const std::string& path, persist::MappedFile& file,
                 path.c_str(), file.bytes().size());
     return false;
   }
+  // Borrowed views are fine here: the MappedFile outlives the caller's use.
+  f = view.frozen(nullptr);
+  if (!plan::derive_frozen(f, nullptr, d)) {
+    std::printf("%-16s %s (duplicate key)\n",
+                persist::blob_error_name(persist::BlobError::kBadStructure),
+                path.c_str());
+    return false;
+  }
   std::printf("%-16s %s\n", "ok", path.c_str());
   return true;
 }
 
-void print_info(const persist::PlanBlobView& view) {
+void print_info(const persist::PlanBlobView& view, const plan::FrozenPlan& f) {
   const persist::PlanBlobHeader& h = view.header();
   std::printf("  version=%u abi=0x%06x flags=%s%s%s\n", h.version, h.abi,
               view.colored() ? "colored" : "plain",
@@ -71,14 +82,13 @@ void print_info(const persist::PlanBlobView& view) {
                   : "");
   std::printf("  spec_hash=%016" PRIx64 " total_bytes=%" PRIu64 "\n",
               h.spec_hash, h.total_bytes);
-  std::printf("  nodes=%u edges=%u roots=%u sink_key=%" PRIu64
-              " slot_cap=%u slab_bytes=%" PRIu64 "\n",
-              h.n, h.n_edges, h.n_roots, h.sink_key, h.slot_cap,
-              h.instance_slab_bytes);
-  std::printf("  units=%u (fused %u nodes into chains) unit_edges=%u "
-              "unit_roots=%u passes=0x%x\n",
-              h.fused_n, h.n - h.fused_n, h.unit_edges, h.n_unit_roots,
-              h.passes);
+  std::printf("  nodes=%u edges=%u sink_key=%" PRIu64 " slab_bytes=%" PRIu64
+              "\n",
+              h.n, h.n_edges, h.sink_key, h.instance_slab_bytes);
+  std::printf("  units=%u (fused %u nodes into chains) unit_edges=%zu "
+              "unit_roots=%zu passes=0x%x\n",
+              h.fused_n, h.n - h.fused_n, f.unit_succ_idx.size(),
+              f.unit_roots.size(), h.passes);
   const auto spec = view.spec_bytes();
   if (spec.empty()) {
     std::printf("  spec: (none — generic blob, functions not re-bindable)\n");
@@ -98,24 +108,16 @@ void print_info(const persist::PlanBlobView& view) {
               g.node_spin_ns);
 }
 
-void print_dump(const persist::PlanBlobView& view) {
-  // Borrowed views are fine here: the MappedFile outlives this frame.
-  const plan::FrozenPlan f = view.frozen(nullptr);
+void print_dump(const plan::FrozenPlan& f) {
   for (std::uint32_t i = 0; i < f.n; ++i) {
-    std::printf("  node %u: key=%" PRIu64 " color=%d data_color=%d preds=[",
-                i, f.keys[i], f.colors[i], f.data_colors[i]);
+    std::printf("  node %u: key=%" PRIu64 " preds=[", i, f.keys[i]);
     for (std::uint32_t e = f.pred_off[i]; e < f.pred_off[i + 1]; ++e) {
       std::printf("%s%u", e == f.pred_off[i] ? "" : " ", f.pred_idx[e]);
-    }
-    std::printf("] succs=[");
-    for (std::uint32_t e = f.succ_off[i]; e < f.succ_off[i + 1]; ++e) {
-      std::printf("%s%u", e == f.succ_off[i] ? "" : " ", f.succ_idx[e]);
     }
     std::printf("]\n");
   }
   for (std::uint32_t u = 0; u < f.fused_n; ++u) {
-    std::printf("  unit %u: join=%d color=%d nodes=[", u, f.unit_join[u],
-                f.unit_colors[u]);
+    std::printf("  unit %u: join=%d nodes=[", u, f.unit_join[u]);
     for (std::uint32_t e = f.unit_off[u]; e < f.unit_off[u + 1]; ++e) {
       std::printf("%s%u", e == f.unit_off[u] ? "" : " ", f.unit_nodes[e]);
     }
@@ -157,12 +159,14 @@ int main(int argc, char** argv) {
   for (const std::string& path : paths) {
     persist::MappedFile file;
     persist::PlanBlobView view;
-    if (!inspect(path, file, view)) {
+    plan::FrozenPlan f;
+    plan::DerivedArrays d;
+    if (!inspect(path, file, view, f, d)) {
       ++bad;
       continue;
     }
-    if (cmd == "info" || cmd == "dump") print_info(view);
-    if (cmd == "dump") print_dump(view);
+    if (cmd == "info" || cmd == "dump") print_info(view, f);
+    if (cmd == "dump") print_dump(f);
   }
   return bad == 0 ? 0 : 1;
 }
