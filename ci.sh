@@ -34,11 +34,12 @@ esac
 
 if [ "${MODE}" != "Debug" ]; then
   echo "=== repeat leg: timing-sensitive suites x20 (Release) ==="
-  # Fuzz matrices, plan replay and the runtime façade depend on scheduler
-  # interleavings; 20 passes each make a new flake fail here, before merge.
+  # Fuzz matrices, plan replay, the runtime façade and the dynamic
+  # executor's join-token protocol depend on scheduler interleavings; 20
+  # passes each make a new flake fail here, before merge.
   ctest --test-dir build-ci-release --output-on-failure -j "${JOBS}" \
     --timeout 600 --repeat until-fail:20 \
-    -R 'Fuzz|PlanVariant|PlanConcurrent|Runtime\.'
+    -R 'Fuzz|PlanVariant|PlanConcurrent|Runtime\.|DynamicExecutor|DynExecTest'
   echo "repeat leg OK"
 fi
 
@@ -441,7 +442,9 @@ echo "ubsan leg OK"
 echo "=== ThreadSanitizer leg (race-prone subset) ==="
 # The CI box has 1 CPU and tsan is ~10x, so this leg builds only the test
 # binaries and runs the race-prone subset: scheduler concurrency and
-# submission control (rt), concurrent submissions (api), concurrent/
+# submission control (rt), the dynamic executor's join-token protocol and
+# its lock-free successor lists and node map (nabbit, nabbitc), concurrent
+# submissions (api), concurrent/
 # cancelled plan replays (plan), two randomized-DAG fuzz seeds, the
 # graph service's cross-thread paths (sessions vs. runtime callbacks:
 # shared-plan registration, disconnect-cancel, shutdown drain), and the
@@ -456,13 +459,14 @@ cmake -B "${TSAN_DIR}" -S . \
   -DNABBITC_BUILD_BENCH=OFF \
   -DNABBITC_BUILD_EXAMPLES=OFF
 cmake --build "${TSAN_DIR}" -j "${JOBS}" \
-  --target rt_test api_test plan_test fuzz_graph_test net_test persist_test obs_test
+  --target rt_test api_test plan_test fuzz_graph_test net_test persist_test obs_test \
+  nabbit_test nabbitc_test
 # history_size=7 (max) keeps long-gone access stacks restorable — a report
 # whose peer stack tsan cannot restore bypasses function-scoped
 # suppressions (see tsan.supp) and would fail the leg spuriously.
 TSAN_OPTIONS="suppressions=$(pwd)/tsan.supp halt_on_error=1 history_size=7" \
   ctest --test-dir "${TSAN_DIR}" --output-on-failure --timeout 600 \
-  -R 'SubmissionControl|ConcurrentStealersEachTaskOnce|ConcurrentRootJobsShareThePool|ConcurrentStress|PlanConcurrent|OverlappingSubmissions|SubmitOptionsKeepSteadyState|FuzzDag8.*/[01]$|FuzzTiny8.*/[01]$|FuzzBatch8.*/[01]$|SubmitRing|BatchSubmission|SharedPlanCompiledOnceAcrossSessions|BatchSubmitDeliversPerItemResults|BatchAdmissionAdmitsPrefixAndReportsScope|NetDisconnect|NetShutdown|PersistConcurrent|ConcurrentRecordMergeMatchesSerial|MetricsAndSlowCaptureOverUnix'
+  -R 'SubmissionControl|ConcurrentStealersEachTaskOnce|ConcurrentRootJobsShareThePool|ConcurrentStress|PlanConcurrent|OverlappingSubmissions|SubmitOptionsKeepSteadyState|FuzzDag8.*/[01]$|FuzzTiny8.*/[01]$|FuzzBatch8.*/[01]$|SubmitRing|BatchSubmission|SharedPlanCompiledOnceAcrossSessions|BatchSubmitDeliversPerItemResults|BatchAdmissionAdmitsPrefixAndReportsScope|NetDisconnect|NetShutdown|PersistConcurrent|ConcurrentRecordMergeMatchesSerial|MetricsAndSlowCaptureOverUnix|DynamicExecutor|DynExecTest|ColoredExecTest|SuccessorList|ConcurrentMap'
 echo "tsan leg OK"
 
 echo "=== ThreadSanitizer repeat leg (plan restore + registration) ==="

@@ -28,6 +28,7 @@ void DynamicExecutor::run_root(rt::Worker& w, Key sink_key) {
   auto [node, created] = map_.insert_or_get(
       sink_key, [this](NodeArena& a, Key k) { return create_node(a, k); });
   if (created) init_node_and_compute(w, node);
+  explore_.wait(w);
   NABBITC_CHECK_MSG(node->computed() || cancel_requested(),
                     "sink did not complete — task graph has a cycle or a "
                     "predecessor threw");
@@ -38,57 +39,44 @@ void DynamicExecutor::init_node_and_compute(rt::Worker& w, TaskGraphNode* u) {
   u->init(ctx);
 
   // Cancellation cuts discovery short: u's predecessors are never created
-  // (they are "skipped before existing"), so u's join stays at the lone
-  // exploration token and the release below retires u as a skip.
+  // (they are "skipped before existing"), so u keeps its lone exploration
+  // token and releasing it retires u as a skip.
   const auto& preds = u->preds_;
-  if (!preds.empty() && !cancel_requested()) {
-    // Explore all predecessors in parallel. The +1 exploration token u was
-    // born with keeps u from firing until this sync completes.
-    rt::TaskGroup group;
-    auto* items = w.arena().create_array<PredItem>(preds.size());
-    for (std::size_t i = 0; i < preds.size(); ++i) {
-      items[i] = PredItem{preds[i], spec_.color_of(preds[i])};
-    }
-    spawn_preds(w, group, u, items, preds.size());
-    group.wait(w);
+  const std::size_t n = preds.size();
+  if (n == 0 || cancel_requested()) {
+    release_token(w, u);
+    return;
   }
-
-  // Release the exploration token (IPDPS'10 protocol): if every predecessor
-  // has already notified, this thread computes u.
-  if (u->join_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    compute_and_notify(w, u);
+  // Trade the exploration token for one token per predecessor edge.
+  u->join_.fetch_add(static_cast<std::int64_t>(n) - 1, std::memory_order_relaxed);
+  auto* items = w.arena().create_array<PredItem>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    items[i] = PredItem{preds[i], spec_.color_of(preds[i])};
   }
+  spawn_preds(w, explore_, u, items, n);
 }
 
 void DynamicExecutor::try_init_compute(rt::Worker& w, TaskGraphNode* parent,
                                        Key pred_key) {
   auto [pred, created] = map_.insert_or_get(
       pred_key, [this](NodeArena& a, Key k) { return create_node(a, k); });
-  if (created) {
-    // This thread won the race: recursively initialize and (maybe) compute
-    // the predecessor (SectionII action 1 / Figure 1a). The recursion
-    // usually completes pred's whole subtree — but NOT when one of pred's
-    // own predecessors is still executing on another worker; pred then
-    // stays pending and we must fall through and register the dependence
-    // below, exactly like the found-it case. (Skipping the registration
-    // here lets the parent fire before pred completes — a rare, scheduler-
-    // timing-dependent dependence violation.)
-    init_node_and_compute(w, pred);
-  }
-  if (pred->computed()) return;  // dependence already satisfied
-
-  // Enqueue parent on pred's successor list and move on (SectionII action
-  // 2 / Figure 1b); pred's completion will notify it. The edge cell comes
-  // from parent's inline pool (arena overflow), so this path never locks
-  // and never heap-allocates.
-  parent->join_.fetch_add(1, std::memory_order_relaxed);
-  if (!pred->successors_.try_add(parent,
+  // Enqueue parent on pred's successor list *before* exploring pred
+  // (SectionII action 2 / Figure 1b), moving the edge token there; a
+  // just-created node is never closed. If pred already completed, the token
+  // drops now. The cell comes from parent's inline pool (arena overflow):
+  // no lock, no heap.
+  if (pred->computed() ||
+      !pred->successors_.try_add(parent,
                                  parent->acquire_successor_cell(w.arena()))) {
-    // pred completed between the check and the append: roll the increment
-    // back. The exploration token guarantees this cannot reach zero here.
-    [[maybe_unused]] std::int64_t left =
-        parent->join_.fetch_sub(1, std::memory_order_acq_rel);
-    NABBITC_DCHECK(left > 1);
+    release_token(w, parent);
+  }
+  // The creating thread initializes pred (SectionII action 1 / Figure 1a).
+  if (created) init_node_and_compute(w, pred);
+}
+
+void DynamicExecutor::release_token(rt::Worker& w, TaskGraphNode* u) {
+  if (u->join_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    compute_and_notify(w, u);
   }
 }
 

@@ -5,6 +5,13 @@
 // and notifying successors as nodes complete (SectionII of the paper;
 // protocol from Agrawal, Leiserson, Sukha, IPDPS'10).
 //
+// A node's join counts tokens: one at birth, traded at init for one per
+// predecessor edge. An edge's token parks on the predecessor's successor
+// list (or drops if it already completed) and drops when it completes; the
+// thread dropping the last token computes the node. Explorations join one
+// job-level group that run_root waits on once, so nothing else waits and a
+// node fires as soon as its last predecessor completes.
+//
 // Locality-aware spawning is a pair of virtual hooks (spawn_preds /
 // spawn_ready) so that NabbitC (nabbitc/colored_executor.h) can override the
 // spawn *order* and advertised color masks without touching the dependence
@@ -93,11 +100,11 @@ class DynamicExecutor : public NodeLookup {
   // --- Protocol building blocks ------------------------------------------
   // Exposed for the colored subclass's spawn leaves and for white-box
   // tests; not user entry points.
-  /// Atomically create-or-get the predecessor `pred_key`; the creating
-  /// thread initializes and executes it, others enqueue `parent` on its
-  /// successor list (SectionII, actions 1-2).
+  /// Atomically create-or-get the predecessor `pred_key`, park one of
+  /// `parent`'s edge tokens on its successor list (or drop it), and, on the
+  /// creating thread, initialize it (SectionII, actions 1-2).
   void try_init_compute(rt::Worker& w, TaskGraphNode* parent, Key pred_key);
-  /// init() + parallel predecessor exploration + readiness check.
+  /// init() + predecessor exploration, without waiting for it.
   void init_node_and_compute(rt::Worker& w, TaskGraphNode* u);
   /// compute() + successor notification (SectionII, action 3).
   void compute_and_notify(rt::Worker& w, TaskGraphNode* u);
@@ -113,11 +120,14 @@ class DynamicExecutor : public NodeLookup {
 
  private:
   TaskGraphNode* create_node(NodeArena& arena, Key key);
+  void release_token(rt::Worker& w, TaskGraphNode* u);
 
   rt::Scheduler& sched_;
   GraphSpec& spec_;
   Options opts_;
   ConcurrentNodeMap map_;
+  /// Every exploration frame of the job; run_root waits on it once.
+  rt::TaskGroup explore_;
   std::atomic<std::uint64_t> nodes_created_{0};
   std::atomic<std::uint64_t> nodes_computed_{0};
   std::atomic<std::uint64_t> nodes_skipped_{0};

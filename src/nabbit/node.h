@@ -120,7 +120,7 @@ class TaskGraphNode {
   Key key_ = 0;
   numa::Color color_ = 0;
   SmallVec<Key, kInlinePreds> preds_;
-  /// Pending dependence count plus one exploration token (see executor.cpp).
+  /// Outstanding join tokens (see nabbit/executor.h).
   std::atomic<std::int64_t> join_{1};
   std::atomic<NodeStatus> status_{NodeStatus::kUnvisited};
   SuccessorList successors_;

@@ -1,7 +1,6 @@
 #include "net/server.h"
 
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -112,7 +111,7 @@ void Server::accept_loop() {
           slot == tcp_slot ? tcp_listen_.get() : unix_listen_.get();
       (void)unix_slot;
       for (;;) {
-        Fd conn(::accept(lfd, nullptr, nullptr));
+        Fd conn = accept_conn(lfd);
         if (!conn.valid()) break;  // EAGAIN: accepted everything pending
         reap_finished_sessions();
         if (sessions_active_.load(std::memory_order_acquire) >=

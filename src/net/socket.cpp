@@ -96,6 +96,18 @@ Fd listen_unix(const std::string& path, std::string* err) {
   return fd;
 }
 
+Fd accept_conn(int listen_fd) {
+  sockaddr_storage peer{};
+  socklen_t len = sizeof(peer);
+  Fd fd(::accept4(listen_fd, reinterpret_cast<sockaddr*>(&peer), &len,
+                  SOCK_CLOEXEC));
+  if (fd.valid() && peer.ss_family == AF_INET) {
+    const int one = 1;
+    ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+  return fd;
+}
+
 Fd connect_tcp_loopback(std::uint16_t port, std::string* err) {
   Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) {

@@ -50,6 +50,12 @@ Fd listen_tcp_loopback(std::uint16_t port, std::uint16_t* bound_port,
 /// Listening Unix-domain socket at `path` (unlinked first if stale).
 Fd listen_unix(const std::string& path, std::string* err);
 
+/// accept(2) on a listener. The connection is close-on-exec and, when it
+/// is TCP, has TCP_NODELAY set: a RESULT written right after SUBMITTED
+/// must not wait for the client's delayed ACK. Invalid Fd when nothing is
+/// pending (non-blocking listener) or on error.
+Fd accept_conn(int listen_fd);
+
 Fd connect_tcp_loopback(std::uint16_t port, std::string* err);
 Fd connect_unix(const std::string& path, std::string* err);
 

@@ -13,6 +13,7 @@
 #include "nabbit/concurrent_map.h"
 #include "nabbit/successor_list.h"
 #include "support/rng.h"
+#include "support/timing.h"
 
 namespace nabbitc::nabbit {
 namespace {
@@ -500,10 +501,9 @@ namespace nabbitc::nabbit {
 namespace {
 
 // Regression: the created-predecessor path of try_init_compute must
-// register the parent's dependence when the recursive initialization leaves
-// the predecessor pending (one of *its* preds still executing elsewhere).
-// A 2-D wavefront with a steep cost gradient reproduces the original bug
-// within a few rounds; see executor.cpp's try_init_compute comment.
+// register the parent's dependence even when the predecessor stays pending
+// (one of *its* preds still executing elsewhere). A 2-D wavefront with a
+// steep cost gradient reproduced the original bug within a few rounds.
 class GradientWavefrontNode final : public TaskGraphNode {
  public:
   void init(ExecContext&) override {
@@ -544,6 +544,78 @@ TEST(DynamicExecutorRegression, CreatedPendingPredecessorIsRegistered) {
     GradientWavefrontSpec spec;
     api::Execution e = rt.run(spec, key_pack(7, 7));
     ASSERT_EQ(e.nodes_computed(), 64u) << "round " << round;
+  }
+}
+
+// Regression: a node is ready as soon as its last predecessor completes,
+// not once the exploration of its predecessors' subtrees returns. A 16x16
+// wavefront explored from its sink has up to 16 nodes ready at once; when
+// readiness waited on exploration, one worker computed the grid in order
+// while the others found nothing to steal (at most one node in flight).
+struct InFlightState {
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_in_flight{0};
+  std::atomic<int> computes{0};
+  std::atomic<int> order_violations{0};
+};
+
+class SpinWavefrontNode final : public TaskGraphNode {
+ public:
+  explicit SpinWavefrontNode(InFlightState* st) : st_(st) {}
+  void init(ExecContext&) override {
+    const std::uint32_t bi = key_major(key()), bj = key_minor(key());
+    if (bj > 0) add_predecessor(key_pack(bi, bj - 1));
+    if (bi > 0) add_predecessor(key_pack(bi - 1, bj));
+  }
+  void compute(ExecContext& ctx) override {
+    const int now = st_->in_flight.fetch_add(1) + 1;
+    int seen = st_->max_in_flight.load();
+    while (now > seen && !st_->max_in_flight.compare_exchange_weak(seen, now)) {
+    }
+    for (Key p : predecessors()) {
+      TaskGraphNode* pn = ctx.find(p);
+      if (pn == nullptr || !pn->computed()) st_->order_violations.fetch_add(1);
+    }
+    const std::uint64_t until = now_ns() + 100'000;  // ~100 us of work
+    while (now_ns() < until) {
+    }
+    st_->computes.fetch_add(1);
+    st_->in_flight.fetch_sub(1);
+  }
+
+ private:
+  InFlightState* st_;
+};
+
+class SpinWavefrontSpec final : public GraphSpec {
+ public:
+  explicit SpinWavefrontSpec(InFlightState* st) : st_(st) {}
+  TaskGraphNode* create(NodeArena& arena, Key) override {
+    return arena.create<SpinWavefrontNode>(st_);
+  }
+
+ private:
+  InFlightState* st_;
+};
+
+TEST(DynamicExecutorRegression, WavefrontNodesComputeConcurrently) {
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "overlapping computes need at least 2 CPUs";
+  }
+  for (std::uint64_t round = 0; round < 6; ++round) {
+    api::RuntimeOptions opts;
+    opts.workers = 4;
+    opts.topology = numa::Topology(2, 2);
+    opts.variant = api::Variant::kNabbit;
+    opts.seed = round;
+    api::Runtime rt(opts);
+    InFlightState st;
+    SpinWavefrontSpec spec(&st);
+    api::Execution e = rt.run(spec, key_pack(15, 15));
+    ASSERT_EQ(e.nodes_computed(), 256u) << "round " << round;
+    EXPECT_EQ(st.computes.load(), 256) << "round " << round;
+    EXPECT_EQ(st.order_violations.load(), 0) << "round " << round;
+    EXPECT_GE(st.max_in_flight.load(), 2) << "round " << round;
   }
 }
 

@@ -5,6 +5,10 @@
 // and graceful shutdown under load.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -24,6 +28,7 @@
 #include "net/protocol.h"
 #include "net/remote_graph.h"
 #include "net/server.h"
+#include "net/socket.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "persist/mmap_file.h"
@@ -706,6 +711,35 @@ TEST(NetService, RegisterSubmitResultOverTcp) {
             static_cast<std::uint8_t>(api::ExecStatus::kCompleted));
   EXPECT_EQ(res->sink_value, expected_sink_value(g));
   server.stop();
+}
+
+TEST(NetSocket, AcceptedConnectionsAreCloexecAndTcpIsNoDelay) {
+  std::string err;
+  std::uint16_t port = 0;
+  Fd tcp_listener = listen_tcp_loopback(0, &port, &err);
+  ASSERT_TRUE(tcp_listener.valid()) << err;
+  Fd tcp_client = connect_tcp_loopback(port, &err);
+  ASSERT_TRUE(tcp_client.valid()) << err;
+  Fd tcp_server_side = accept_conn(tcp_listener.get());
+  ASSERT_TRUE(tcp_server_side.valid());
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(tcp_server_side.get(), IPPROTO_TCP, TCP_NODELAY,
+                         &nodelay, &len),
+            0);
+  EXPECT_EQ(nodelay, 1);
+  EXPECT_NE(::fcntl(tcp_server_side.get(), F_GETFD) & FD_CLOEXEC, 0);
+
+  // A Unix-domain connection takes the same path minus the TCP option.
+  const std::string path = unique_sock_path("accept");
+  Fd unix_listener = listen_unix(path, &err);
+  ASSERT_TRUE(unix_listener.valid()) << err;
+  Fd unix_client = connect_unix(path, &err);
+  ASSERT_TRUE(unix_client.valid()) << err;
+  Fd unix_server_side = accept_conn(unix_listener.get());
+  ASSERT_TRUE(unix_server_side.valid());
+  EXPECT_NE(::fcntl(unix_server_side.get(), F_GETFD) & FD_CLOEXEC, 0);
+  ::unlink(path.c_str());
 }
 
 TEST(NetService, SharedPlanCompiledOnceAcrossSessions) {
