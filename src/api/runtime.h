@@ -58,7 +58,8 @@ struct RuntimeOptions {
   Variant variant = Variant::kNabbitC;
   /// Topology for pinning and the NUMA-domain locality metric.
   numa::Topology topology = numa::Topology::host();
-  /// Pin worker w to core topology.core_of_worker(w) (best effort).
+  /// Pin worker w to core topology.core_of_worker(w) (best effort). When
+  /// false, worker w still starts on that core but may migrate.
   bool pin_threads = false;
   std::uint64_t seed = 0x9e3779b9u;
   /// Event tracing (src/trace/). Off by default — when off the hot paths

@@ -661,6 +661,11 @@ void Scheduler::worker_main(std::uint32_t index) {
   tl_worker = &w;
   if (cfg_.pin_threads) {
     numa::pin_current_thread(cfg_.topology.core_of_worker(index));
+  } else {
+    // Start on the worker's own core, unpinned. A new thread can start on
+    // its creator's CPU, and the kernel can take seconds to spread workers
+    // that spin between steals: until it does, one CPU runs the whole pool.
+    numa::place_current_thread(cfg_.topology.core_of_worker(index));
   }
   for (;;) {
     // About to park: publish this service period's counters (cold, and the

@@ -77,7 +77,8 @@ struct SchedulerConfig {
   /// Topology used for pinning and domain-granularity locality accounting.
   numa::Topology topology = numa::Topology::host();
   StealPolicy steal{};
-  /// Pin worker w to core topology.core_of_worker(w) (best effort).
+  /// Pin worker w to core topology.core_of_worker(w) (best effort). When
+  /// false, worker w still starts on that core but may migrate.
   bool pin_threads = false;
   std::uint64_t seed = 0x9e3779b9u;
   /// Event tracing (trace/). Off by default; when off, no rings are

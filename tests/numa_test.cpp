@@ -1,6 +1,13 @@
 // Unit tests for src/numa: topology, distribution, penalty, pinning.
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "numa/distribution.h"
 #include "numa/penalty.h"
 #include "numa/pinning.h"
@@ -177,6 +184,26 @@ TEST(Pinning, PinDoesNotCrash) {
   (void)pin_current_thread(0);
   SUCCEED();
 }
+
+#if defined(__linux__)
+TEST(Pinning, PlaceLeavesAffinityMaskAsItWas) {
+  // On a thread of its own, so no other test inherits a changed mask.
+  std::thread t([] {
+    cpu_set_t before;
+    cpu_set_t after;
+    ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(before), &before), 0);
+    for (std::uint32_t slot = 0; slot < 5; ++slot) {
+      const bool placed = place_current_thread(slot);
+      if (CPU_COUNT(&before) == 1) {
+        EXPECT_FALSE(placed);
+      }
+      ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(after), &after), 0);
+      EXPECT_TRUE(CPU_EQUAL(&before, &after)) << "slot " << slot;
+    }
+  });
+  t.join();
+}
+#endif
 
 }  // namespace
 }  // namespace nabbitc::numa
