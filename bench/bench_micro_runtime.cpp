@@ -417,9 +417,8 @@ void bench_plan_persist(const BenchParams& p) {
                  persist::BlobError::kOk) {
                std::abort();
              }
-             auto restored =
-                 rt.restore_plan(spec, g.sink(), view.frozen(blob),
-                                 view.colored(), view.count_locality());
+             auto restored = rt.restore_plan(spec, g.sink(), view.frozen(blob),
+                                             view.colored());
              if (restored == nullptr) std::abort();
              do_not_optimize(restored);
            }

@@ -35,11 +35,12 @@ esac
 if [ "${MODE}" != "Debug" ]; then
   echo "=== repeat leg: timing-sensitive suites x20 (Release) ==="
   # Fuzz matrices, plan replay, the runtime façade and the dynamic
-  # executor's join-token protocol depend on scheduler interleavings; 20
-  # passes each make a new flake fail here, before merge.
+  # executor's join-token protocol (both spawn shapes: vanilla Nabbit and
+  # NabbitC's colored spawn) depend on scheduler interleavings; 20 passes
+  # each make a new flake fail here, before merge.
   ctest --test-dir build-ci-release --output-on-failure -j "${JOBS}" \
     --timeout 600 --repeat until-fail:20 \
-    -R 'Fuzz|PlanVariant|PlanConcurrent|Runtime\.|DynamicExecutor|DynExecTest'
+    -R 'Fuzz|PlanVariant|PlanConcurrent|Runtime\.|DynamicExecutor|DynExecTest|ColoredExecTest|ColoredExecutor'
   echo "repeat leg OK"
 fi
 
@@ -338,21 +339,37 @@ echo "=== metrics-overhead: metrics-on within 8% of metrics-off ==="
 if [ -d "${BENCH_DIR}" ]; then
   # The always-on claim, A/B tested: the instrumented dynamic-executor
   # throughput with metrics recording enabled must stay within run noise of
-  # the same build with the NABBITC_METRICS=0 kill-switch.
-  "${BENCH_DIR}/bench_micro_runtime" preset=tiny repeats=3 filter=dynamic \
-    out="${BENCH_DIR}/BENCH_metrics_on.json"
-  NABBITC_METRICS=0 "${BENCH_DIR}/bench_micro_runtime" preset=tiny repeats=3 \
-    filter=dynamic out="${BENCH_DIR}/BENCH_metrics_off.json"
-  python3 - "${BENCH_DIR}/BENCH_metrics_on.json" "${BENCH_DIR}/BENCH_metrics_off.json" <<'EOF'
-import json, sys
-def rate(path):
-    with open(path) as f:
+  # the same build with the NABBITC_METRICS=0 kill-switch. One pair of
+  # runs is at the mercy of host CPU steal, so run METRICS_PAIRS pairs,
+  # alternating which side goes first, and gate on the median per-pair
+  # on/off ratio. Each run keeps the best of 15 graph runs.
+  METRICS_PAIRS=7
+  metrics_run() {  # $1 = on|off, $2 = pair index
+    local enabled=1
+    [ "$1" = off ] && enabled=0
+    NABBITC_METRICS="${enabled}" "${BENCH_DIR}/bench_micro_runtime" \
+      preset=tiny repeats=15 filter=dynamic \
+      out="${BENCH_DIR}/BENCH_metrics_$1_$2.json" > /dev/null
+  }
+  for i in $(seq 1 "${METRICS_PAIRS}"); do
+    if (( i % 2 )); then
+      metrics_run on "${i}"; metrics_run off "${i}"
+    else
+      metrics_run off "${i}"; metrics_run on "${i}"
+    fi
+  done
+  python3 - "${BENCH_DIR}" "${METRICS_PAIRS}" <<'EOF'
+import json, statistics, sys
+def rate(side, i):
+    with open(f"{sys.argv[1]}/BENCH_metrics_{side}_{i}.json") as f:
         return json.load(f)["metrics"]["dynamic_nodes_per_sec"]["value"]
-on, off = rate(sys.argv[1]), rate(sys.argv[2])
-ratio = on / off
+pairs = range(1, int(sys.argv[2]) + 1)
+ratios = [rate("on", i) / rate("off", i) for i in pairs]
+ratio = statistics.median(ratios)
+shown = ", ".join(f"{r:.3f}" for r in ratios)
 assert 0.92 <= ratio, \
-    f"metrics-on throughput {on:.0f} below 92% of metrics-off {off:.0f} (ratio {ratio:.3f})"
-print(f"metrics-overhead OK: on/off = {ratio:.3f}")
+    f"median metrics-on/off throughput ratio {ratio:.3f} below 0.92 (pairs: {shown})"
+print(f"metrics-overhead OK: median on/off = {ratio:.3f} (pairs: {shown})")
 EOF
 else
   echo "metrics-overhead skipped (no Release build dir)"
@@ -469,15 +486,16 @@ TSAN_OPTIONS="suppressions=$(pwd)/tsan.supp halt_on_error=1 history_size=7" \
   -R 'SubmissionControl|ConcurrentStealersEachTaskOnce|ConcurrentRootJobsShareThePool|ConcurrentStress|PlanConcurrent|OverlappingSubmissions|SubmitOptionsKeepSteadyState|FuzzDag8.*/[01]$|FuzzTiny8.*/[01]$|FuzzBatch8.*/[01]$|SubmitRing|BatchSubmission|SharedPlanCompiledOnceAcrossSessions|BatchSubmitDeliversPerItemResults|BatchAdmissionAdmitsPrefixAndReportsScope|NetDisconnect|NetShutdown|PersistConcurrent|ConcurrentRecordMergeMatchesSerial|MetricsAndSlowCaptureOverUnix|DynamicExecutor|DynExecTest|ColoredExecTest|SuccessorList|ConcurrentMap'
 echo "tsan leg OK"
 
-echo "=== ThreadSanitizer repeat leg (plan restore + registration) ==="
+echo "=== ThreadSanitizer repeat leg (plan restore, registration, rt/net control) ==="
 # restore() allocates the derived schedule, key table and colors on the
 # daemon's concurrent REGISTER and warm-load paths; repeat the subset that
-# drives those paths (and concurrent plan replay) until a run fails, up to
-# 10 times, in the same TSan build.
+# drives those paths (and concurrent plan replay), plus the scheduler's
+# submission control and the daemon's disconnect/shutdown paths, until a
+# run fails, up to 10 times, in the same TSan build.
 TSAN_OPTIONS="suppressions=$(pwd)/tsan.supp halt_on_error=1 history_size=7" \
   ctest --test-dir "${TSAN_DIR}" --output-on-failure --timeout 600 \
   --repeat until-fail:10 \
-  -R 'PlanConcurrent|PersistConcurrent|SharedPlanCompiledOnceAcrossSessions|FuzzDag8.*/[01]$'
+  -R 'PlanConcurrent|PersistConcurrent|SharedPlanCompiledOnceAcrossSessions|FuzzDag8.*/[01]$|SubmissionControl|NetDisconnect|NetShutdown'
 echo "tsan repeat leg OK"
 
 echo "CI OK"

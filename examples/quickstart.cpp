@@ -12,7 +12,7 @@
 //   3. construct a nabbitc::Runtime from declarative RuntimeOptions and
 //      run() (or submit() for async) from the sink key. The runtime owns
 //      the worker pool for its whole lifetime and serves any number of
-//      submissions — no scheduler, executor class, or steal policy to wire.
+//      submissions — no scheduler, executor, or steal policy to wire.
 //
 // Run:  ./quickstart [workers=4] [n=500]
 #include <atomic>

@@ -4,7 +4,6 @@
 
 #include "api/execution_state.h"
 #include "api/metrics.h"
-#include "nabbitc/colored_executor.h"
 #include "plan/plan.h"
 #include "support/check.h"
 #include "support/timing.h"
@@ -250,8 +249,7 @@ Runtime::Runtime(RuntimeOptions opts) : opts_(opts) {
   sc.pin_threads = opts_.pin_threads;
   sc.seed = opts_.seed;
   sc.trace = opts_.trace;
-  sc.steal = opts_.steal_tuning ? *opts_.steal_tuning
-                                : steal_policy_for(opts_.variant);
+  sc.steal = steal_policy_for(opts_.variant);
   sched_ = std::make_unique<rt::Scheduler>(sc);
   opts_.workers = sched_->num_workers();  // resolve workers=0
 }
@@ -268,17 +266,13 @@ Execution Runtime::submit(GraphSpec& spec, Key sink, const SubmitOptions& so) {
   st->sink = sink;
   st->name = so.name;
   nabbit::DynamicExecutor::Options eo;
-  eo.count_locality = opts_.count_locality;
+  // The variant picks the spawn shape here and picked the steal policy at
+  // construction — one switch, so they cannot disagree.
+  eo.colored = opts_.variant == Variant::kNabbitC;
   // The executor polls this execution's own cancel word on node dispatch;
   // the job lives in the same ExecutionState, so the address is stable.
   eo.cancel = &st->job.cancel;
-  // The variant picks the executor class here and picked the steal policy
-  // at construction — one switch, so they cannot disagree.
-  if (opts_.variant == Variant::kNabbitC) {
-    st->exec = std::make_unique<nabbit::ColoredDynamicExecutor>(*sched_, spec, eo);
-  } else {
-    st->exec = std::make_unique<nabbit::DynamicExecutor>(*sched_, spec, eo);
-  }
+  st->exec = std::make_unique<nabbit::DynamicExecutor>(spec, eo);
   st->t_submit_ns = now_ns();
   detail::ExecutionState* raw = st.get();
   st->job.fn = [raw](rt::Worker& w) {
@@ -309,7 +303,6 @@ std::unique_ptr<plan::GraphPlan> Runtime::compile(GraphSpec& spec, Key sink,
   // Like submit(): the runtime's variant decides the replay spawn
   // semantics, so a plan cannot disagree with the steal policy.
   po.colored = opts_.variant == Variant::kNabbitC;
-  po.count_locality = opts_.count_locality;
   po.reserve_instances = reserve_instances;
   po.passes = passes;
   return plan::compile(spec, sink, po);
@@ -317,20 +310,15 @@ std::unique_ptr<plan::GraphPlan> Runtime::compile(GraphSpec& spec, Key sink,
 
 std::unique_ptr<plan::GraphPlan> Runtime::restore_plan(
     GraphSpec& spec, Key sink, plan::FrozenPlan frozen, bool artifact_colored,
-    bool artifact_count_locality, std::size_t reserve_instances) {
+    std::size_t reserve_instances) {
   plan::CompileOptions po;
   po.colored = opts_.variant == Variant::kNabbitC;
-  po.count_locality = opts_.count_locality;
   po.reserve_instances = reserve_instances;
-  // The artifact must have been produced by a runtime configured like this
-  // one: a colored plan on a random-steal pool (or vice versa) is the
-  // mismatch submit() CHECKs against, and a locality-counting mismatch
-  // would silently change what the replay records. Stale != corrupt —
-  // refuse and let the caller recompile.
-  if (artifact_colored != po.colored ||
-      artifact_count_locality != po.count_locality) {
-    return nullptr;
-  }
+  // The artifact must have been produced for this runtime's variant: a
+  // colored plan on a random-steal pool (or vice versa) is the mismatch
+  // submit() CHECKs against. Stale != corrupt — refuse and let the caller
+  // recompile.
+  if (artifact_colored != po.colored) return nullptr;
   return plan::restore(spec, sink, po, std::move(frozen));
 }
 
@@ -563,10 +551,7 @@ rt::WorkerCounters Runtime::counters() const {
   return sched_->aggregate_counters_idle();
 }
 
-void Runtime::reset_counters() {
-  sched_->wait_idle();
-  sched_->reset_counters();
-}
+void Runtime::reset_counters() { sched_->reset_counters(); }
 
 bool Runtime::tracing() const noexcept { return sched_->tracing(); }
 

@@ -4,9 +4,9 @@
 // scheduler (worker threads, steal policy, optional tracing) for its whole
 // lifetime and serves any number of graph executions. Construction takes a
 // single declarative RuntimeOptions; the scheduler's steal policy AND the
-// executor class are both derived from options.variant, so the historical
-// "colored executor on a random-steal scheduler" mismatch bug cannot be
-// written through this API.
+// executor's spawn shape are both derived from options.variant, so the
+// historical "colored executor on a random-steal scheduler" mismatch bug
+// cannot be written through this API.
 //
 //   api::RuntimeOptions opts;
 //   opts.workers = 8;
@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 
 #include "api/batch.h"
@@ -54,7 +53,7 @@ struct RuntimeOptions {
   /// Worker-thread count (== number of colors). 0 = host concurrency.
   std::uint32_t workers = 0;
   /// Which task-graph scheduler this runtime embodies (kNabbit or
-  /// kNabbitC); selects both the steal policy and the executor class.
+  /// kNabbitC); selects both the steal policy and the spawn shape.
   Variant variant = Variant::kNabbitC;
   /// Topology for pinning and the NUMA-domain locality metric.
   numa::Topology topology = numa::Topology::host();
@@ -65,12 +64,6 @@ struct RuntimeOptions {
   /// Event tracing (src/trace/). Off by default — when off the hot paths
   /// pay a single null-pointer branch.
   trace::TraceConfig trace{};
-  /// Record the paper's SectionV-B locality metric while executing.
-  bool count_locality = true;
-  /// Ablation-only override of the variant-derived steal policy (knob
-  /// sweeps like bench_ablation_policy). The executor class still follows
-  /// `variant`, so tuning knobs cannot reintroduce the mismatch bug.
-  std::optional<rt::StealPolicy> steal_tuning{};
   /// Per-submission defaults used by the submit()/run() overloads that
   /// take no SubmitOptions (priority kNormal, no deadline, unnamed).
   SubmitOptions default_submit{};
@@ -190,12 +183,12 @@ class Runtime {
   Execution run(GraphSpec& spec, Key sink, const SubmitOptions& so);
 
   /// Freezes (spec, sink) into a compiled GraphPlan bound to this runtime's
-  /// variant and locality configuration (plan/plan.h): topology lowered to
-  /// CSR arrays, colors precomputed, `reserve_instances` reusable instances
-  /// pre-built. `spec` must outlive the plan; the plan must outlive this
-  /// Runtime's executions of it. Prefer plans over raw specs whenever the
-  /// same graph is submitted repeatedly — replay submission does no graph
-  /// construction and, once the instance pool is warm, no heap allocation.
+  /// variant (plan/plan.h): topology lowered to CSR arrays, colors
+  /// precomputed, `reserve_instances` reusable instances pre-built. `spec`
+  /// must outlive the plan; the plan must outlive this Runtime's executions
+  /// of it. Prefer plans over raw specs whenever the same graph is
+  /// submitted repeatedly — replay submission does no graph construction
+  /// and, once the instance pool is warm, no heap allocation.
   /// `passes` selects the compiler's optimization passes (plan::kPass*);
   /// the default runs them all. Disabling is for A/B benchmarking and the
   /// per-pass fuzz matrix — results are bitwise identical either way.
@@ -205,18 +198,17 @@ class Runtime {
 
   /// Rebuilds a plan from persisted frozen arrays (src/persist/) instead of
   /// compiling: skips discovery/CSR/coloring/key-table work and goes
-  /// straight to re-binding the spec's node factories. `artifact_colored` /
-  /// `artifact_count_locality` are the options recorded in the artifact;
-  /// restore_plan returns nullptr when they disagree with what compile()
-  /// would derive for THIS runtime (the artifact is stale for this
-  /// configuration), when the frozen arrays fail validation, or when the
-  /// spec does not describe the frozen topology — never aborts, so callers
-  /// can always fall back to compile(). Lifetime rules match compile();
-  /// `frozen.backing` additionally keeps the mapped artifact alive.
+  /// straight to re-binding the spec's node factories. `artifact_colored` is
+  /// the variant recorded in the artifact; restore_plan returns nullptr when
+  /// it disagrees with what compile() would derive for THIS runtime (the
+  /// artifact is stale for this variant), when the frozen arrays fail
+  /// validation, or when the spec does not describe the frozen topology —
+  /// never aborts, so callers can always fall back to compile(). Lifetime
+  /// rules match compile(); `frozen.backing` additionally keeps the mapped
+  /// artifact alive.
   std::unique_ptr<plan::GraphPlan> restore_plan(
       GraphSpec& spec, Key sink, plan::FrozenPlan frozen,
-      bool artifact_colored, bool artifact_count_locality,
-      std::size_t reserve_instances = 1);
+      bool artifact_colored, std::size_t reserve_instances = 1);
 
   /// Asynchronously replays a compiled plan: resets a pooled instance
   /// instead of re-creating nodes. Results are bitwise-identical to

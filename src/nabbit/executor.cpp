@@ -1,15 +1,13 @@
 #include "nabbit/executor.h"
 
 #include "nabbit/spawn_halved.h"
+#include "nabbitc/spawn_colors.h"
 #include "support/check.h"
 
 namespace nabbitc::nabbit {
 
-DynamicExecutor::DynamicExecutor(rt::Scheduler& sched, GraphSpec& spec, Options opts)
-    : sched_(sched), spec_(spec), opts_(opts), map_(spec.expected_nodes()) {}
-
-DynamicExecutor::DynamicExecutor(rt::Scheduler& sched, GraphSpec& spec)
-    : DynamicExecutor(sched, spec, Options{}) {}
+DynamicExecutor::DynamicExecutor(GraphSpec& spec, Options opts)
+    : spec_(spec), opts_(opts), map_(spec.expected_nodes()) {}
 
 TaskGraphNode* DynamicExecutor::create_node(NodeArena& arena, Key key) {
   TaskGraphNode* n = spec_.create(arena, key);
@@ -18,10 +16,6 @@ TaskGraphNode* DynamicExecutor::create_node(NodeArena& arena, Key key) {
   n->status_.store(NodeStatus::kVisited, std::memory_order_relaxed);
   nodes_created_.fetch_add(1, std::memory_order_relaxed);
   return n;
-}
-
-void DynamicExecutor::run(Key sink_key) {
-  sched_.execute([this, sink_key](rt::Worker& w) { run_root(w, sink_key); });
 }
 
 void DynamicExecutor::run_root(rt::Worker& w, Key sink_key) {
@@ -102,16 +96,15 @@ void DynamicExecutor::compute_and_notify(rt::Worker& w, TaskGraphNode* u) {
   if (skip) {
     nodes_skipped_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    if (opts_.count_locality) {
-      // The metric counts against true data placement (data_color_of), not
-      // the scheduling hint — a bad hint must *show up* as remote accesses.
-      std::uint64_t remote_preds = 0;
-      for (Key pk : u->preds_) {
-        if (!w.color_is_local(spec_.data_color_of(pk))) ++remote_preds;
-      }
-      w.record_node_execution(spec_.data_color_of(u->key_), u->preds_.size(),
-                              remote_preds);
+    // The paper's SectionV-B locality metric counts against true data
+    // placement (data_color_of), not the scheduling hint — a bad hint must
+    // *show up* as remote accesses.
+    std::uint64_t remote_preds = 0;
+    for (Key pk : u->preds_) {
+      if (!w.color_is_local(spec_.data_color_of(pk))) ++remote_preds;
     }
+    w.record_node_execution(spec_.data_color_of(u->key_), u->preds_.size(),
+                            remote_preds);
 
     ExecContext ctx(&w, *this);
     u->compute(ctx);
@@ -122,7 +115,7 @@ void DynamicExecutor::compute_and_notify(rt::Worker& w, TaskGraphNode* u) {
   // Notify successors (SectionII action 3 / Figure 1c). Closing the list
   // makes later try_add calls fail, so no successor is ever lost. The chain
   // of cells is walked in place; only the ready-array (arena storage) is
-  // materialized for the spawn hook.
+  // materialized for the spawn.
   SuccessorCell* chain = u->successors_.close_and_take();
   if (chain == nullptr) return;
 
@@ -143,37 +136,46 @@ void DynamicExecutor::compute_and_notify(rt::Worker& w, TaskGraphNode* u) {
 }
 
 // ---------------------------------------------------------------------------
-// Vanilla Nabbit spawning: list order, no color advertisement — the shared
-// recursive-halving shape of nabbit/spawn_halved.h with per-path leaves.
+// Spawning: NabbitC's color-grouped morphing continuations (advertised color
+// masks), or vanilla Nabbit's list-order recursive halving (no masks). The
+// leaves are the same for both shapes.
 
-namespace {
-
-struct PredLeaf {
+struct DynamicExecutor::PredLeaf {
   DynamicExecutor* ex;
   TaskGraphNode* parent;
-  void operator()(rt::Worker& w, const DynamicExecutor::PredItem& item) const {
+  void operator()(rt::Worker& w, const PredItem& item) const {
     ex->try_init_compute(w, parent, item.key);
   }
 };
 
-struct ReadyLeaf {
+struct DynamicExecutor::ReadyLeaf {
   DynamicExecutor* ex;
   void operator()(rt::Worker& w, TaskGraphNode* node) const {
     ex->compute_and_notify(w, node);
   }
 };
 
-}  // namespace
-
 void DynamicExecutor::spawn_preds(rt::Worker& w, rt::TaskGroup& g,
                                   TaskGraphNode* parent, PredItem* items,
                                   std::size_t n) {
-  spawn_halved(w, g, items, n, PredLeaf{this, parent});
+  if (opts_.colored) {
+    spawn_colored(
+        w, g, items, n, [](const PredItem& it) { return it.color; },
+        PredLeaf{this, parent});
+  } else {
+    spawn_halved(w, g, items, n, PredLeaf{this, parent});
+  }
 }
 
 void DynamicExecutor::spawn_ready(rt::Worker& w, rt::TaskGroup& g,
                                   TaskGraphNode** ready, std::size_t n) {
-  spawn_halved(w, g, ready, n, ReadyLeaf{this});
+  if (opts_.colored) {
+    spawn_colored(
+        w, g, ready, n, [](TaskGraphNode* node) { return node->color(); },
+        ReadyLeaf{this});
+  } else {
+    spawn_halved(w, g, ready, n, ReadyLeaf{this});
+  }
 }
 
 }  // namespace nabbitc::nabbit

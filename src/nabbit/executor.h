@@ -1,4 +1,4 @@
-// Dynamic (on-demand) task graph execution — the Nabbit algorithm.
+// Dynamic (on-demand) task graph execution — Nabbit and NabbitC.
 //
 // The executor walks the graph backwards from the sink key, creating nodes
 // on demand through a concurrent map, exploring predecessors in parallel,
@@ -12,16 +12,18 @@
 // job-level group that run_root waits on once, so nothing else waits and a
 // node fires as soon as its last predecessor completes.
 //
-// Locality-aware spawning is a pair of virtual hooks (spawn_preds /
-// spawn_ready) so that NabbitC (nabbitc/colored_executor.h) can override the
-// spawn *order* and advertised color masks without touching the dependence
-// protocol. The base class implements vanilla Nabbit: list-order spawning
-// with no color advertisement.
+// Options::colored picks the spawn shape, and with it the variant. NabbitC
+// spawns predecessors and ready successors with the morphing continuations
+// of nabbitc/spawn_colors.h, advertising color masks to thieves; vanilla
+// Nabbit spawns them in list order with no color advertisement
+// (nabbit/spawn_halved.h). The dependence protocol is the same for both, so
+// NabbitC changes only spawn *order* and *steal visibility*, exactly as the
+// paper prescribes. Compiled-plan replay makes the same choice from
+// plan::CompileOptions::colored.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <span>
 
 #include "nabbit/concurrent_map.h"
 #include "nabbit/graph_spec.h"
@@ -33,8 +35,10 @@ namespace nabbitc::nabbit {
 class DynamicExecutor : public NodeLookup {
  public:
   struct Options {
-    /// Record the paper's SectionV-B locality metric while executing.
-    bool count_locality = true;
+    /// NabbitC semantics: color-grouped morphing-continuation spawns with
+    /// advertised color masks. False = vanilla Nabbit list-order spawning.
+    /// api::Runtime::submit derives this from the runtime's variant.
+    bool colored = true;
     /// Cooperative-cancellation token — the owning RootJob's cancel word
     /// (rt::Scheduler::RootJob::cancel); null = never cancelled. Polled
     /// once per node dispatch (one atomic load, no clock). Once set,
@@ -44,36 +48,21 @@ class DynamicExecutor : public NodeLookup {
     const std::atomic<std::uint8_t>* cancel = nullptr;
   };
 
-  /// One predecessor to explore, with its color precomputed from the spec.
-  struct PredItem {
-    Key key;
-    numa::Color color;
-  };
-
-  DynamicExecutor(rt::Scheduler& sched, GraphSpec& spec, Options opts);
-  DynamicExecutor(rt::Scheduler& sched, GraphSpec& spec);
-  virtual ~DynamicExecutor() = default;
+  DynamicExecutor(GraphSpec& spec, Options opts);
 
   DynamicExecutor(const DynamicExecutor&) = delete;
   DynamicExecutor& operator=(const DynamicExecutor&) = delete;
 
-  /// Executes the task graph rooted (sunk) at `sink_key`; returns when the
-  /// sink and therefore all its transitive predecessors have been computed.
-  /// Synchronous convenience over run_root: must not be called from a
-  /// worker thread.
-  void run(Key sink_key);
-
-  /// The body of run() for a root already adopted by a worker: inserts the
-  /// sink and drives the dependence protocol to completion. This is what
-  /// api::Runtime submits, so that many executions — each with its own
-  /// executor, node map and arenas — can share one scheduler concurrently.
-  /// Every spawn is synced before returning, so on return the sink (and
-  /// all transitive predecessors) are computed; aborts if not (cycle).
+  /// Executes the task graph rooted (sunk) at `sink_key` on a root already
+  /// adopted by a worker: inserts the sink and drives the dependence
+  /// protocol to completion. This is what api::Runtime submits, so that
+  /// many executions — each with its own executor, node map and arenas —
+  /// can share one scheduler concurrently. Every spawn is synced before
+  /// returning, so on return the sink (and all transitive predecessors) are
+  /// computed; aborts if not (cycle).
   void run_root(rt::Worker& w, Key sink_key);
 
   TaskGraphNode* find(Key key) const override { return map_.find(key); }
-  rt::Scheduler& scheduler() noexcept { return sched_; }
-  GraphSpec& spec() noexcept { return spec_; }
 
   std::uint64_t nodes_created() const noexcept {
     return nodes_created_.load(std::memory_order_relaxed);
@@ -97,9 +86,16 @@ class DynamicExecutor : public NodeLookup {
            opts_.cancel->load(std::memory_order_acquire) != 0;
   }
 
-  // --- Protocol building blocks ------------------------------------------
-  // Exposed for the colored subclass's spawn leaves and for white-box
-  // tests; not user entry points.
+ private:
+  /// One predecessor to explore, with its color precomputed from the spec.
+  struct PredItem {
+    Key key;
+    numa::Color color;
+  };
+  struct PredLeaf;
+  struct ReadyLeaf;
+
+  TaskGraphNode* create_node(NodeArena& arena, Key key);
   /// Atomically create-or-get the predecessor `pred_key`, park one of
   /// `parent`'s edge tokens on its successor list (or drop it), and, on the
   /// creating thread, initialize it (SectionII, actions 1-2).
@@ -108,21 +104,14 @@ class DynamicExecutor : public NodeLookup {
   void init_node_and_compute(rt::Worker& w, TaskGraphNode* u);
   /// compute() + successor notification (SectionII, action 3).
   void compute_and_notify(rt::Worker& w, TaskGraphNode* u);
-
- protected:
-  // --- Locality-aware hooks (overridden by ColoredDynamicExecutor) ------
-  /// Spawns exploration of `parent`'s predecessors (leaf: try_init_compute).
-  virtual void spawn_preds(rt::Worker& w, rt::TaskGroup& g, TaskGraphNode* parent,
-                           PredItem* items, std::size_t n);
-  /// Spawns execution of newly ready successors (leaf: compute_and_notify).
-  virtual void spawn_ready(rt::Worker& w, rt::TaskGroup& g, TaskGraphNode** ready,
-                           std::size_t n);
-
- private:
-  TaskGraphNode* create_node(NodeArena& arena, Key key);
   void release_token(rt::Worker& w, TaskGraphNode* u);
+  /// Spawns exploration of `parent`'s predecessors (leaf: try_init_compute).
+  void spawn_preds(rt::Worker& w, rt::TaskGroup& g, TaskGraphNode* parent,
+                   PredItem* items, std::size_t n);
+  /// Spawns execution of newly ready successors (leaf: compute_and_notify).
+  void spawn_ready(rt::Worker& w, rt::TaskGroup& g, TaskGraphNode** ready,
+                   std::size_t n);
 
-  rt::Scheduler& sched_;
   GraphSpec& spec_;
   Options opts_;
   ConcurrentNodeMap map_;

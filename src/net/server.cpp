@@ -170,8 +170,7 @@ bool Server::restore_entry_from_blob(const persist::PlanCacheDir::Loaded& loaded
 
   auto spec = std::make_unique<RemoteGraphSpec>(g, runtime_.workers());
   auto plan = runtime_.restore_plan(*spec, g.sink(), std::move(f),
-                                    view.colored(), view.count_locality(),
-                                    opts_.reserve_instances);
+                                    view.colored(), opts_.reserve_instances);
   if (plan == nullptr) return false;
   entry.handle = handle;
   entry.canon.assign(spec_bytes.begin(), spec_bytes.end());

@@ -84,7 +84,6 @@ std::vector<std::uint8_t> serialize_plan(const plan::GraphPlan& plan,
   h.abi = plan_blob_abi();
   h.spec_hash = spec_hash;
   h.flags = (plan.colored() ? kPlanBlobFlagColored : 0u) |
-            (plan.count_locality() ? kPlanBlobFlagCountLocality : 0u) |
             (f.serial_lower ? kPlanBlobFlagSerialLowered : 0u);
   h.n = f.n;
   h.sink_key = f.keys[0];

@@ -57,7 +57,9 @@ namespace nabbitc::persist {
 /// v3: only compile()'s decisions are stored (keys, predecessor CSR, unit
 /// partition, spec); colors, the unit schedule and the key table are
 /// re-derived at load. 13 sections and 5 header counts dropped.
-inline constexpr std::uint32_t kPlanBlobVersion = 3;
+/// v4: the count-locality flag bit is gone (locality is always counted);
+/// a v3 blob carries it and is refused rather than reinterpreted.
+inline constexpr std::uint32_t kPlanBlobVersion = 4;
 
 /// Written as a native u32; reads back byte-swapped on a foreign-endian
 /// machine, which is the detection.
@@ -102,12 +104,10 @@ static_assert(sizeof(PlanBlobHeader) % 8 == 0);
 static_assert(std::is_trivially_copyable_v<PlanBlobHeader>);
 
 inline constexpr std::uint32_t kPlanBlobFlagColored = 1u << 0;
-inline constexpr std::uint32_t kPlanBlobFlagCountLocality = 1u << 1;
 /// The plan replays through the tiny-graph serial micro-interpreter.
-inline constexpr std::uint32_t kPlanBlobFlagSerialLowered = 1u << 2;
+inline constexpr std::uint32_t kPlanBlobFlagSerialLowered = 1u << 1;
 inline constexpr std::uint32_t kPlanBlobKnownFlags =
-    kPlanBlobFlagColored | kPlanBlobFlagCountLocality |
-    kPlanBlobFlagSerialLowered;
+    kPlanBlobFlagColored | kPlanBlobFlagSerialLowered;
 
 /// ABI stamp: the widths whose change would silently reinterpret the
 /// section bytes. Any mismatch is kBadAbi.
@@ -156,9 +156,6 @@ class PlanBlobView {
   nabbit::Key sink_key() const noexcept { return hdr_.sink_key; }
   bool colored() const noexcept {
     return (hdr_.flags & kPlanBlobFlagColored) != 0;
-  }
-  bool count_locality() const noexcept {
-    return (hdr_.flags & kPlanBlobFlagCountLocality) != 0;
   }
   /// The embedded canonical spec encoding (decode with net/protocol.h's
   /// decode_register to re-bind node functions). Empty for generic blobs.

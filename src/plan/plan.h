@@ -97,8 +97,6 @@ struct CompileOptions {
   /// advertised color masks. False = vanilla Nabbit list-order spawning.
   /// api::Runtime::compile derives this from the runtime's variant.
   bool colored = true;
-  /// Record the paper's SectionV-B locality metric while replaying.
-  bool count_locality = true;
   /// Instances to pre-build at compile time. Replays beyond the warm pool
   /// build more on demand (a heap-allocating cold path); pre-size this to
   /// the expected concurrent-replay depth for allocation-free serving.
@@ -303,7 +301,6 @@ class GraphPlan {
   bool serial_lowered() const noexcept { return f_.serial_lower; }
   Key sink() const noexcept { return sink_; }
   bool colored() const noexcept { return opts_.colored; }
-  bool count_locality() const noexcept { return opts_.count_locality; }
   GraphSpec& spec() const noexcept { return *spec_; }
 
   /// Read-only views of the frozen arrays — the serialization input (see
@@ -406,8 +403,8 @@ class GraphPlan {
 /// creating + init()ing nodes from the sink (without computing anything),
 /// freezes the CSR topology and colors, and pre-builds
 /// opts.reserve_instances instances. Aborts on a cyclic graph. Prefer the
-/// api::Runtime::compile wrapper, which derives `opts.colored` and
-/// `opts.count_locality` from the runtime's configuration.
+/// api::Runtime::compile wrapper, which derives `opts.colored` from the
+/// runtime's variant.
 std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
                                    const CompileOptions& opts = {});
 

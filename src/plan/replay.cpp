@@ -121,7 +121,7 @@ void PlanInstance::execute_unit(rt::Worker* w, std::uint32_t unit) {
       ++n_skipped;
       continue;
     }
-    if (w != nullptr && p.count_locality()) {
+    if (w != nullptr) {
       // Counted against true data placement, exactly like the dynamic path
       // (see DynamicExecutor::compute_and_notify) — but the colors come from
       // the plan's frozen arrays, not spec virtual calls.

@@ -803,9 +803,8 @@ void Scheduler::service_loop(Worker& w) {
 void Scheduler::flush_worker_obs(Worker& w) noexcept {
   const WorkerCounters& c = w.counters_;
   WorkerCounters& f = w.obs_flushed_;
-  // Publish monotone deltas. reset_counters() can rewind c below the
-  // watermark (harness experiment boundaries); resync without publishing
-  // rather than fetch_add a wrapped delta.
+  // Publish monotone deltas. reset_counters() zeroes c together with this
+  // watermark, so every event after a reset is published.
   const auto pub = [](obs::Counter* m, std::uint64_t cur, std::uint64_t& last) {
     if (cur > last) m->add(cur - last);
     last = cur;
@@ -830,12 +829,6 @@ void Scheduler::lane_depths(std::uint32_t out[kNumLanes]) {
   }
 }
 
-WorkerCounters Scheduler::aggregate_counters() const {
-  WorkerCounters total;
-  for (const auto& w : workers_) total.merge(w->counters());
-  return total;
-}
-
 WorkerCounters Scheduler::aggregate_counters_idle() {
   // Every worker is parked and we hold mu_: none can resume (let alone
   // touch its counters) before this merge finishes.
@@ -854,7 +847,11 @@ std::size_t Scheduler::frame_arena_live_bytes_idle() {
 }
 
 void Scheduler::reset_counters() {
-  for (auto& w : workers_) w->counters().reset();
+  const auto lk = lock_idle();
+  for (auto& w : workers_) {
+    w->counters().reset();
+    w->obs_flushed_.reset();
+  }
 }
 
 void Scheduler::reset_trace() {

@@ -379,14 +379,8 @@ class Scheduler {
     return frames_completed_upto_.load(std::memory_order_acquire);
   }
 
-  /// Sum of all per-worker counters (cumulative since last reset). The
-  /// merge reads plain fields, so the CALLER must guarantee the pool stays
-  /// quiescent across the call (single-threaded test code after wait_idle);
-  /// concurrent submitters make that guarantee impossible to uphold from
-  /// outside — use aggregate_counters_idle() instead.
-  WorkerCounters aggregate_counters() const;
-
-  /// Atomic quiescent snapshot: waits for full quiescence (active_jobs_ ==
+  /// Sum of all per-worker counters (cumulative since last reset) as an
+  /// atomic quiescent snapshot: waits for full quiescence (active_jobs_ ==
   /// 0 and every worker parked) and merges the counters while still holding
   /// the scheduler mutex. A parked worker sits inside cv_start_.wait(mu_)
   /// and cannot resume — or bump a counter — until it reacquires mu_, so
@@ -394,6 +388,9 @@ class Scheduler {
   /// mid-snapshot (the snapshot simply waits out the new job). Must not be
   /// called from a worker thread.
   WorkerCounters aggregate_counters_idle();
+  /// Zeroes every worker's counters together with its obs watermark (so
+  /// flush_worker_obs keeps publishing every later event), under the same
+  /// quiescence protocol as aggregate_counters_idle.
   void reset_counters();
 
   /// Quiescent snapshot (same protocol as aggregate_counters_idle) of the

@@ -92,7 +92,6 @@ api::Runtime make_runtime() {
   api::RuntimeOptions opts;
   opts.workers = 2;
   opts.variant = api::Variant::kNabbit;
-  opts.count_locality = false;
   return api::Runtime(opts);
 }
 

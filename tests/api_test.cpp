@@ -359,7 +359,7 @@ TEST(Runtime, TraceSliceCoversExecutionWindow) {
 TEST(Runtime, StaticGraphFollowsVariant) {
   // A fully-known graph runs as a compiled plan, whose spawn semantics
   // (colored or not) come from the runtime's variant like submit()'s
-  // executor class does.
+  // dynamic executor's do.
   for (Variant v : {Variant::kNabbit, Variant::kNabbitC}) {
     RuntimeOptions opts;
     opts.workers = 2;

@@ -231,9 +231,8 @@ TEST_P(FuzzDag8, AllVariantsBitwiseEqualAndCancelInvariantsHold) {
     persist::PlanBlobView view;
     ASSERT_EQ(view.parse({backing->data(), backing->size()}),
               persist::BlobError::kOk);
-    auto restored =
-        rt->restore_plan(spec, dag.sink(), view.frozen(backing),
-                         view.colored(), view.count_locality());
+    auto restored = rt->restore_plan(spec, dag.sink(), view.frozen(backing),
+                                     view.colored());
     ASSERT_NE(restored, nullptr) << "restore refused its own artifact";
     for (int round = 0; round < 2; ++round) {
       dag.clear();
@@ -278,9 +277,8 @@ TEST_P(FuzzDag8, AllVariantsBitwiseEqualAndCancelInvariantsHold) {
       persist::PlanBlobView view;
       ASSERT_EQ(view.parse({backing->data(), backing->size()}),
                 persist::BlobError::kOk);
-      auto restored =
-          rt->restore_plan(spec, dag.sink(), view.frozen(backing),
-                           view.colored(), view.count_locality());
+      auto restored = rt->restore_plan(spec, dag.sink(), view.frozen(backing),
+                                       view.colored());
       ASSERT_NE(restored, nullptr);
       EXPECT_EQ(restored->passes(), mask);
       EXPECT_EQ(restored->num_fused_nodes(), plan->num_fused_nodes());
@@ -463,7 +461,7 @@ TEST_P(FuzzTiny8, SerialLoweredInlineReplayMatchesSerialReference) {
     ASSERT_EQ(view.parse({backing->data(), backing->size()}),
               persist::BlobError::kOk);
     auto restored = rt->restore_plan(spec, dag.sink(), view.frozen(backing),
-                                     view.colored(), view.count_locality());
+                                     view.colored());
     ASSERT_NE(restored, nullptr);
     EXPECT_TRUE(restored->serial_lowered())
         << "blob round-trip dropped the serial-lowered flag";

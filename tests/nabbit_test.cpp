@@ -464,17 +464,6 @@ TEST(DynamicExecutor, LocalityCountersPopulated) {
   EXPECT_GT(agg.locality.pred_accesses, 0u);
 }
 
-TEST(DynamicExecutor, LocalityCountingCanBeDisabled) {
-  api::RuntimeOptions opts;
-  opts.workers = 2;
-  opts.count_locality = false;
-  api::Runtime rt(opts);
-  OrderRecorder rec;
-  RecordingSpec spec(&rec);
-  rt.run(spec, 50);
-  EXPECT_EQ(rt.counters().locality.nodes, 0u);
-}
-
 TEST(DynamicExecutor, SingleNodeGraph) {
   api::RuntimeOptions opts;
   opts.workers = 2;

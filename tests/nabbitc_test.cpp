@@ -1,5 +1,6 @@
 // Tests for the NabbitC color layer: coloring modes, colored spawning
-// (morphing continuations), colored executors, and locality behaviour.
+// (morphing continuations), the dynamic executor's colored spawn, and
+// locality behaviour.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -227,9 +228,6 @@ TEST_P(ColoredExecTest, AllColoringsComplete) {
   api::RuntimeOptions opts;
   opts.workers = 4;
   opts.topology = numa::Topology(2, 2);
-  auto tuning = rt::StealPolicy::nabbitc();
-  tuning.first_steal_max_attempts = 256;  // keep invalid-coloring runs fast
-  opts.steal_tuning = tuning;
   api::Runtime rt(opts);
 
   WideGraphState st;
@@ -267,9 +265,6 @@ TEST(ColoredExecutor, InvalidColoringDisablesColoredSteals) {
   api::RuntimeOptions opts;
   opts.workers = 2;
   opts.topology = numa::Topology(2, 1);
-  auto tuning = rt::StealPolicy::nabbitc();
-  tuning.first_steal_max_attempts = 64;
-  opts.steal_tuning = tuning;
   api::Runtime rt(opts);
   WideGraphState st;
   st.width = 40;

@@ -120,7 +120,6 @@ TEST(PlanBlob, RoundTripBitwise) {
   EXPECT_EQ(p.view.num_nodes(), c.plan->num_nodes());
   EXPECT_EQ(p.view.sink_key(), c.g.sink());
   EXPECT_TRUE(p.view.colored());
-  EXPECT_TRUE(p.view.count_locality());
   expect_span_eq(p.view.spec_bytes(),
                  std::span<const std::uint8_t>{c.canon.data(), c.canon.size()},
                  "spec bytes");
@@ -162,8 +161,7 @@ TEST(PlanBlob, RestoredPlanReplaysIdentically) {
   net::RemoteGraphSpec spec2(g2, rt.workers());
   auto restored =
       rt.restore_plan(spec2, g2.sink(), p.view.frozen(p.bytes),
-                      p.view.colored(), p.view.count_locality(),
-                      /*reserve_instances=*/2);
+                      p.view.colored(), /*reserve_instances=*/2);
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->num_nodes(), c.plan->num_nodes());
 
@@ -315,7 +313,7 @@ TEST(PlanBlob, DistinctErrorsForEachRefusal) {
     EXPECT_FALSE(plan::derive_frozen(doctored, nullptr, d));
     net::RemoteGraphSpec spec2(c.g, rt.workers());
     EXPECT_EQ(rt.restore_plan(spec2, c.g.sink(), view.frozen(nullptr),
-                              view.colored(), view.count_locality()),
+                              view.colored()),
               nullptr);
   }
   // Trailing junk (resealed, so checksums pass) is a layout error: the
@@ -356,7 +354,7 @@ TEST(PlanRestore, WrongGraphSpecRefused) {
   ASSERT_EQ(other.nodes.size(), c.g.nodes.size());
   net::RemoteGraphSpec spec2(other, rt.workers());
   EXPECT_EQ(rt.restore_plan(spec2, other.sink(), p.view.frozen(p.bytes),
-                            p.view.colored(), p.view.count_locality()),
+                            p.view.colored()),
             nullptr);
 }
 
@@ -374,7 +372,7 @@ TEST(PlanRestore, VariantMismatchRefused) {
   ASSERT_TRUE(net::decode_register(p.view.spec_bytes(), g2, nullptr));
   net::RemoteGraphSpec spec2(g2, nb.workers());
   EXPECT_EQ(nb.restore_plan(spec2, g2.sink(), p.view.frozen(p.bytes),
-                            p.view.colored(), p.view.count_locality()),
+                            p.view.colored()),
             nullptr);
 }
 
@@ -401,7 +399,7 @@ TEST(PlanRestore, ColorsFollowTheLoadingRuntime) {
   ASSERT_EQ(rt2.workers(), 2u);
   net::RemoteGraphSpec spec2(g, 2);
   auto restored = rt2.restore_plan(spec2, g.sink(), p.view.frozen(p.bytes),
-                                   p.view.colored(), p.view.count_locality());
+                                   p.view.colored());
   ASSERT_NE(restored, nullptr);
   std::uint32_t stale = 0;
   for (std::uint32_t i = 0; i < restored->num_nodes(); ++i) {
@@ -534,51 +532,68 @@ TEST(PlanCache, RejectsCorruptFileAndRecovers) {
   remove_dir_recursive(dir);
 }
 
-// A pre-optimization-pass (v1) artifact must be refused with the DISTINCT
-// kBadVersion error — not a generic corruption refusal — and the cache
-// upgrade path must transparently recompile over it. v1 blobs predate the
-// fused-unit schedule sections, but the version stamp sits at the same
-// offset in both layouts and the gate fires on the stamp alone, so a
-// doctored stamp exercises exactly the path a real v1 file takes.
+// Every older artifact (v1 predates the fused-unit sections, v2 stored the
+// derived arrays, v3 carried a count-locality flag) must be refused with the
+// DISTINCT kBadVersion error — not a generic corruption refusal — and the
+// cache upgrade path must transparently recompile over it. v3 is the sharp
+// case: its count-locality bit (1u << 1, set in every blob a runtime wrote)
+// is the bit v4 gives kPlanBlobFlagSerialLowered, so only the version gate
+// stops a v3 blob being misread. The stamp sits at the same offset in every
+// layout and the gate fires on it alone, so a doctored stamp exercises
+// exactly the path a real old file takes.
 TEST(PlanCache, StaleVersionBlobRejectedAndRecompiled) {
   auto rt = make_runtime(Variant::kNabbitC);
   CompiledBlob c = compile_blob(rt, 0x51a1e, 64);
-
-  std::vector<std::uint8_t> stale = c.blob;
-  PlanBlobHeader h;
-  std::memcpy(&h, stale.data(), sizeof(h));
-  ASSERT_EQ(h.version, kPlanBlobVersion);
-  ASSERT_GE(kPlanBlobVersion, 2u) << "optimization passes bumped the version";
-  h.version = 1;
-  std::memcpy(stale.data(), &h, sizeof(h));
-  reseal_blob({stale.data(), stale.size()});  // checksums pass; version gates
-
-  PlanBlobView view;
-  EXPECT_EQ(view.parse({stale.data(), stale.size()}), BlobError::kBadVersion);
-
-  // Through the cache: a stale on-disk artifact is a miss that reports
-  // kBadVersion, the recompiled blob overwrites it, and later loads hit.
+  ASSERT_EQ(kPlanBlobVersion, 4u) << "add the new stale version's flags here";
   const std::string dir = make_temp_dir();
-  PlanCacheDir cache(dir);
-  std::string err;
-  ASSERT_TRUE(cache.ensure_dir(&err)) << err;
-  ASSERT_TRUE(write_file_atomic(cache.path_for(c.hash),
-                                {stale.data(), stale.size()}, &err))
-      << err;
 
-  PlanCacheDir::Loaded old = cache.load(c.hash);
-  EXPECT_FALSE(old.hit());
-  EXPECT_EQ(old.error, BlobError::kBadVersion);
-  EXPECT_GE(cache.stats().rejected, 1u);
+  for (std::uint32_t version = 1; version < kPlanBlobVersion; ++version) {
+    SCOPED_TRACE(version);
+    // A fresh cache per version, as after a daemon upgrade and restart.
+    PlanCacheDir cache(dir);
+    std::string err;
+    ASSERT_TRUE(cache.ensure_dir(&err)) << err;
+    std::vector<std::uint8_t> stale = c.blob;
+    PlanBlobHeader h;
+    std::memcpy(&h, stale.data(), sizeof(h));
+    ASSERT_EQ(h.version, kPlanBlobVersion);
+    h.version = version;
+    if (version == 3) h.flags |= 1u << 1;  // v3's count-locality bit
+    std::memcpy(stale.data(), &h, sizeof(h));
+    reseal_blob({stale.data(), stale.size()});  // checksums pass; version gates
 
-  // The caller's recompile (c.blob is the fresh v2 serialization of the
-  // same spec) publishes over the stale file and is served from then on.
-  ASSERT_TRUE(cache.store(c.hash, {c.blob.data(), c.blob.size()}, &err)) << err;
-  PlanCacheDir::Loaded fresh = cache.load(c.hash);
-  ASSERT_TRUE(fresh.hit());
-  EXPECT_EQ(fresh.view.spec_hash(), c.hash);
-  EXPECT_EQ(fresh.view.num_nodes(), c.plan->num_nodes());
-  EXPECT_EQ(cache.scan().size(), 1u);
+    PlanBlobView view;
+    EXPECT_EQ(view.parse({stale.data(), stale.size()}), BlobError::kBadVersion);
+
+    // Through the cache: a stale on-disk artifact is a miss that reports
+    // kBadVersion, the recompiled blob overwrites it, and later loads hit.
+    ASSERT_TRUE(write_file_atomic(cache.path_for(c.hash),
+                                  {stale.data(), stale.size()}, &err))
+        << err;
+    PlanCacheDir::Loaded old = cache.load(c.hash);
+    EXPECT_FALSE(old.hit());
+    EXPECT_EQ(old.error, BlobError::kBadVersion);
+    EXPECT_EQ(cache.stats().rejected, 1u);
+
+    // The caller's recompile of the same spec publishes over the stale
+    // file, is served from then on, and restores on this runtime.
+    CompiledBlob recompiled = compile_blob(rt, 0x51a1e, 64);
+    ASSERT_EQ(recompiled.hash, c.hash);
+    ASSERT_TRUE(cache.store(c.hash,
+                            {recompiled.blob.data(), recompiled.blob.size()},
+                            &err))
+        << err;
+    PlanCacheDir::Loaded fresh = cache.load(c.hash);
+    ASSERT_TRUE(fresh.hit());
+    EXPECT_EQ(fresh.view.spec_hash(), c.hash);
+    EXPECT_EQ(fresh.view.num_nodes(), c.plan->num_nodes());
+    EXPECT_FALSE(fresh.view.frozen(fresh.file).serial_lower);
+    EXPECT_EQ(cache.scan().size(), 1u);
+    net::RemoteGraphSpec spec2(c.g, rt.workers());
+    EXPECT_NE(rt.restore_plan(spec2, c.g.sink(), fresh.view.frozen(fresh.file),
+                              fresh.view.colored()),
+              nullptr);
+  }
 
   remove_dir_recursive(dir);
 }

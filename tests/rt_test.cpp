@@ -466,13 +466,8 @@ TEST(Scheduler, StealPolicyDefaults) {
 TEST(Scheduler, InvalidColoringJobStillCompletes) {
   // All frames carry empty masks (kInvalidColor) => every colored steal
   // fails; bounded first-steal forcing must let workers fall back (the
-  // paper's Table III configuration). The knob travels through
-  // RuntimeOptions::steal_tuning — no raw scheduler is wired.
-  api::RuntimeOptions opts = test_options(4);
-  auto tuning = StealPolicy::nabbitc();
-  tuning.first_steal_max_attempts = 64;
-  opts.steal_tuning = tuning;
-  api::Runtime rt(opts);
+  // paper's Table III configuration).
+  api::Runtime rt(test_options(4));
   std::atomic<int> n{0};
   rt.run_parallel([&](Worker& w) {
     TaskGroup g;
@@ -536,8 +531,8 @@ TEST(Scheduler, WaitIdleQuiescesThePool) {
   rt.wait_idle();
   EXPECT_EQ(n.load(), 1000);
   // After wait_idle nothing races the counters: two reads must agree.
-  const auto a = rt.scheduler().aggregate_counters();
-  const auto b = rt.scheduler().aggregate_counters();
+  const auto a = rt.counters();
+  const auto b = rt.counters();
   EXPECT_EQ(a.tasks_executed, b.tasks_executed);
   EXPECT_EQ(a.steal_attempts_total(), b.steal_attempts_total());
 }
@@ -688,9 +683,9 @@ TEST(SubmissionControl, CancelWhileQueuedSkipsButStillRetires) {
   // cancel that landed while it was queued.
   EXPECT_TRUE(victim.saw_cancel);
   EXPECT_EQ(victim.job.cancel_reason(), CancelReason::kRequested);
-  rt.wait_idle();
-  EXPECT_EQ(sched.aggregate_counters().roots_cancelled, 1u);
-  EXPECT_EQ(sched.aggregate_counters().roots_deadline_expired, 0u);
+  const WorkerCounters c = rt.counters();
+  EXPECT_EQ(c.roots_cancelled, 1u);
+  EXPECT_EQ(c.roots_deadline_expired, 0u);
 }
 
 TEST(SubmissionControl, PastDeadlineExpiresAtAdoption) {
@@ -706,8 +701,7 @@ TEST(SubmissionControl, PastDeadlineExpiresAtAdoption) {
   sched.wait(victim.job);
   EXPECT_TRUE(victim.saw_cancel);
   EXPECT_EQ(victim.job.cancel_reason(), CancelReason::kDeadline);
-  rt.wait_idle();
-  EXPECT_EQ(sched.aggregate_counters().roots_deadline_expired, 1u);
+  EXPECT_EQ(rt.counters().roots_deadline_expired, 1u);
 }
 
 TEST(SubmissionControl, ParkedWaiterExpiresDeadlineOfRunningJob) {
@@ -932,8 +926,7 @@ TEST(SubmissionControl, BatchArmsDeadlinesExpiredItemAdoptedCancelled) {
   EXPECT_FALSE(ok.saw_cancel);
   EXPECT_TRUE(dead.saw_cancel);
   EXPECT_EQ(dead.job.cancel_reason(), CancelReason::kDeadline);
-  rt.wait_idle();
-  EXPECT_EQ(sched.aggregate_counters().roots_deadline_expired, 1u);
+  EXPECT_EQ(rt.counters().roots_deadline_expired, 1u);
 }
 
 TEST(SubmissionControl, ConcurrentBatchProducersAllComplete) {

@@ -11,6 +11,8 @@
 
 #include "api/nabbitc.h"
 #include "harness/experiment.h"
+#include "obs/metrics.h"
+#include "plan/plan.h"
 #include "rt/parallel_for.h"
 #include "rt/scheduler.h"
 #include "trace/analysis.h"
@@ -166,6 +168,94 @@ TEST(Collector, DerivedCountersMatchSchedulerExactly) {
   for (std::uint32_t w = 0; w < rt.workers(); ++w) {
     expect_counters_equal(derive_counters(t, w), rt.scheduler().worker(w).counters());
   }
+}
+
+// A side x side grid: node k waits on its upper (k - side) and left (k - 1)
+// neighbours. Columns are colored, so the NabbitC policy has colored steals.
+struct GridNode final : api::TaskGraphNode {
+  std::uint32_t side = 0;
+  void init(api::ExecContext&) override {
+    if (key() >= side) add_predecessor(key() - side);
+    if (key() % side != 0) add_predecessor(key() - 1);
+  }
+  void compute(api::ExecContext&) override {}
+};
+
+struct GridSpec final : api::GraphSpec {
+  std::uint32_t side = 0;
+  std::uint32_t colors = 1;
+  api::TaskGraphNode* create(api::NodeArena& arena, api::Key) override {
+    auto* n = arena.create<GridNode>();
+    n->side = side;
+    return n;
+  }
+  numa::Color color_of(api::Key k) const override {
+    return static_cast<numa::Color>((k % side) * colors / side);
+  }
+  std::size_t expected_nodes() const override { return std::size_t{side} * side; }
+};
+
+/// The scheduler's obs counters (sched_*_total), read from the registry.
+struct ObsCounters {
+  std::uint64_t tasks, spawns, steals_colored, steals_random, steal_attempts;
+  static ObsCounters read() {
+    obs::Registry& reg = obs::registry();
+    return {reg.counter("sched_tasks_total").value(),
+            reg.counter("sched_spawns_total").value(),
+            reg.counter("sched_steals_colored_total").value(),
+            reg.counter("sched_steals_random_total").value(),
+            reg.counter("sched_steal_attempts_total").value()};
+  }
+};
+
+TEST(Collector, ObsCountersAndTraceAgreeAfterReset) {
+  // The three views of one run's scheduler events — the obs mirror, the
+  // per-worker counters, and the counters derived from the trace — must
+  // agree over a mixed run of spec, plan-replay and batch submissions, also
+  // after reset_counters() rewound counters that were already published.
+  if (!obs::enabled()) GTEST_SKIP() << "metrics disabled by NABBITC_METRICS=0";
+  api::RuntimeOptions opts;
+  opts.workers = 4;
+  opts.topology = numa::Topology(2, 2);
+  opts.trace.enabled = true;
+  opts.trace.ring_capacity = 1u << 20;  // ample: consistency requires no drops
+  api::Runtime rt(opts);
+
+  GridSpec spec;
+  spec.side = 24;
+  spec.colors = rt.workers();
+  const api::Key sink = spec.side * spec.side - 1;
+  auto plan = rt.compile(spec, sink, /*reserve_instances=*/4);
+  ASSERT_FALSE(plan->serial_lowered());  // inline runs bypass the scheduler
+  const auto mixed_run = [&] {
+    rt.run(spec, sink);
+    rt.run(*plan);
+    rt.submit_batch(*plan, 4).wait_all();
+  };
+  // Warm-up: every worker publishes a watermark well above what the
+  // measured run alone will count.
+  mixed_run();
+  mixed_run();
+  rt.reset_counters();
+  rt.reset_trace();
+
+  const ObsCounters before = ObsCounters::read();
+  mixed_run();
+  const rt::WorkerCounters counters = rt.counters();  // quiesces the pool
+  const ObsCounters after = ObsCounters::read();
+  const Trace t = rt.collect_trace();
+  ASSERT_EQ(t.dropped, 0u);
+  const rt::WorkerCounters derived = derive_counters(t);
+
+  EXPECT_GT(counters.tasks_executed, 0u);
+  EXPECT_EQ(after.tasks - before.tasks, counters.tasks_executed);
+  EXPECT_EQ(after.spawns - before.spawns, counters.spawns);
+  EXPECT_EQ(after.steals_colored - before.steals_colored,
+            counters.steals_colored);
+  EXPECT_EQ(after.steals_random - before.steals_random, counters.steals_random);
+  EXPECT_EQ(after.steal_attempts - before.steal_attempts,
+            counters.steal_attempts_total());
+  expect_counters_equal(derived, counters);
 }
 
 TEST(Collector, DerivedCountersMatchOnRealWorkload) {

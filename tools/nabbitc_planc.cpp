@@ -74,9 +74,8 @@ bool inspect(const std::string& path, persist::MappedFile& file,
 
 void print_info(const persist::PlanBlobView& view, const plan::FrozenPlan& f) {
   const persist::PlanBlobHeader& h = view.header();
-  std::printf("  version=%u abi=0x%06x flags=%s%s%s\n", h.version, h.abi,
+  std::printf("  version=%u abi=0x%06x flags=%s%s\n", h.version, h.abi,
               view.colored() ? "colored" : "plain",
-              view.count_locality() ? "+locality" : "",
               (h.flags & persist::kPlanBlobFlagSerialLowered) != 0
                   ? "+serial-lowered"
                   : "");
