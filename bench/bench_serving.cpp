@@ -18,6 +18,9 @@
 //   * cancel_drain_p50_ns — submit+cancel round trip of a background
 //     graph: how fast a cancelled execution vacates the pool (the skip
 //     cascade), with cancel_skipped_mean counting the nodes it skipped;
+//   * singleton / batch32 / inline_submits_per_sec and the medians of
+//     their per-round ratios batch_speedup_x and inline_speedup_x — the
+//     front-door cost of one graph on each submit path;
 //   * arena_bytes_after — frame memory at the end (cancellations must not
 //     leak epoch-stamped blocks).
 //
@@ -244,14 +247,24 @@ int main(int argc, char** argv) {
   // per 32 — this amortization factor is the tentpole number. Tiny-graph
   // lowering is masked OFF for these two plans: a 1-node plan would
   // otherwise run inline and never touch the front door being measured.
-  // The inline path is reported separately as inline_submits_per_sec.
+  // The same 1-node plan compiled with default passes replays inline on
+  // the submitting thread — no scheduler, no park/unpark — and is timed as
+  // the third member of each round.
+  //
+  // One short sample per path is at the mercy of host CPU steal, so the
+  // paths are timed in kRounds rounds whose order flips every round, and
+  // each speedup is the median of its per-round ratios (ci.sh gates
+  // batch_speedup_x and inline_speedup_x). The rates are per-path medians.
   {
     constexpr std::uint64_t kBatchSize = 32;
+    constexpr int kRounds = 7;
     std::atomic<std::uint64_t> tick_acc{0};
     TickSpec tick_spec(&tick_acc);
     auto tick_plan = rt.compile(tick_spec, 0,
                                 /*reserve_instances=*/kBatchSize + 1,
                                 plan::kPassAll & ~plan::kPassTinyLower);
+    auto inline_plan = rt.compile(tick_spec, 0, /*reserve_instances=*/1);
+    check(inline_plan->serial_lowered(), "1-node plan was not lowered");
     const std::uint64_t budget_ns = tiny ? 100'000'000ull : 400'000'000ull;
     const auto timed_rate = [&](auto&& round, std::uint64_t graphs_per_round) {
       round();  // warm-up
@@ -267,38 +280,60 @@ int main(int argc, char** argv) {
     };
 
     std::uint64_t expected = 0;
-    const double singleton_rate = timed_rate(
-        [&] {
-          rt.run(*tick_plan);
-          ++expected;
-        },
-        1);
-    const double batch_rate = timed_rate(
-        [&] {
-          auto batch = rt.submit_batch(*tick_plan, kBatchSize);
-          batch.wait_all();
-          expected += kBatchSize;
-        },
-        kBatchSize);
+    const auto singleton_rate = [&] {
+      return timed_rate(
+          [&] {
+            rt.run(*tick_plan);
+            ++expected;
+          },
+          1);
+    };
+    const auto batch_rate = [&] {
+      return timed_rate(
+          [&] {
+            auto batch = rt.submit_batch(*tick_plan, kBatchSize);
+            batch.wait_all();
+            expected += kBatchSize;
+          },
+          kBatchSize);
+    };
+    const auto inline_rate = [&] {
+      return timed_rate(
+          [&] {
+            rt.run(*inline_plan);
+            ++expected;
+          },
+          1);
+    };
+    Samples singleton, batch, inlined, batch_x, inline_x;
+    for (int i = 0; i < kRounds; ++i) {
+      double s = 0, b = 0, in = 0;
+      if (i % 2 == 0) {
+        s = singleton_rate();
+        b = batch_rate();
+        in = inline_rate();
+      } else {
+        in = inline_rate();
+        b = batch_rate();
+        s = singleton_rate();
+      }
+      singleton.add(s);
+      batch.add(b);
+      inlined.add(in);
+      batch_x.add(b / s);
+      inline_x.add(in / s);
+    }
     check(tick_acc.load() == expected, "batched replays diverged");
-    report("singleton_submits_per_sec", singleton_rate, "graphs/s");
-    report("batch32_submits_per_sec", batch_rate, "graphs/s");
-    report("batch_speedup_x", batch_rate / singleton_rate, "x");
-
-    // Tiny-graph lowering: the same 1-node plan compiled with default
-    // passes replays inline on the submitting thread — no scheduler, no
-    // park/unpark. This is the fastest way to serve a tiny graph and must
-    // beat even the batched scheduler path (gated in ci.sh).
-    auto inline_plan = rt.compile(tick_spec, 0, /*reserve_instances=*/1);
-    check(inline_plan->serial_lowered(), "1-node plan was not lowered");
-    const double inline_rate = timed_rate(
-        [&] {
-          rt.run(*inline_plan);
-          ++expected;
-        },
-        1);
-    check(tick_acc.load() == expected, "inline replays diverged");
-    report("inline_submits_per_sec", inline_rate, "graphs/s");
+    std::printf("speedup per round (batch32, inline over singleton):");
+    for (int i = 0; i < kRounds; ++i) {
+      std::printf(" %.1f/%.1f", batch_x.values()[i], inline_x.values()[i]);
+    }
+    std::printf("\n");
+    report("singleton_submits_per_sec", singleton.median(), "graphs/s");
+    report("batch32_submits_per_sec", batch.median(), "graphs/s");
+    report("batch_speedup_x", batch_x.median(), "x");
+    report("inline_submits_per_sec", inlined.median(), "graphs/s");
+    report("inline_speedup_x", inline_x.median(), "x");
   }
 
   rt.wait_idle();

@@ -170,7 +170,8 @@ expected = [
     "high_prio_p95_ns", "high_prio_p99_ns", "high_prio_max_ns",
     "background_completed", "cancel_drain_p50_ns", "cancel_skipped_mean",
     "singleton_submits_per_sec", "batch32_submits_per_sec",
-    "batch_speedup_x", "inline_submits_per_sec", "arena_bytes_after",
+    "batch_speedup_x", "inline_submits_per_sec", "inline_speedup_x",
+    "arena_bytes_after",
 ]
 missing = [k for k in expected if k not in d["metrics"]]
 assert not missing, f"missing metrics: {missing}"
@@ -181,21 +182,23 @@ assert isinstance(p50, (int, float)) and math.isfinite(p50), f"bad p50: {p50}"
 assert 0 < p50 < 1e9, f"high-priority p50 out of range: {p50}"
 # Background (low-priority) work must have progressed under the load.
 assert d["metrics"]["background_completed"]["value"] > 0, "low lane starved"
+# Both speedups are medians of per-round ratios over 7 rounds whose order
+# alternates (bench_serving.cpp), so one CPU-steal phase cannot decide the
+# gate.
 # Batching acceptance: batch-32 submission must sustain >= 5x the
 # serialized singleton rate (the real box shows ~10x; 5x is the gate).
 speedup = d["metrics"]["batch_speedup_x"]["value"]
-assert speedup >= 5.0, f"batch-32 speedup below the 5x gate: {speedup:.2f}"
+assert speedup >= 5.0, f"median batch-32 speedup below the 5x gate: {speedup:.2f}"
 # Tiny-graph lowering acceptance: the inline (scheduler-free) replay of a
 # 1-node plan must decisively beat the scheduler singleton path (the real
 # box shows >20x; 2x is the gate).
-inline_rate = d["metrics"]["inline_submits_per_sec"]["value"]
-singleton = d["metrics"]["singleton_submits_per_sec"]["value"]
-assert inline_rate >= 2.0 * singleton, (
-    f"inline submit rate ({inline_rate:.0f}/s) not decisively above the "
-    f"scheduler singleton rate ({singleton:.0f}/s)")
+inline_x = d["metrics"]["inline_speedup_x"]["value"]
+assert inline_x >= 2.0, (
+    f"median inline/singleton submit rate {inline_x:.2f}x, not decisively "
+    f"above the scheduler singleton path (gate: 2x)")
 print(f"bench-serving OK: high_prio_p50 = {p50:.0f} ns, "
-      f"batch_speedup = {speedup:.1f}x, "
-      f"inline/singleton = {inline_rate / singleton:.1f}x")
+      f"median batch_speedup = {speedup:.1f}x, "
+      f"median inline/singleton = {inline_x:.1f}x")
 EOF
 else
   echo "bench-serving smoke skipped (no Release build dir)"
@@ -456,6 +459,29 @@ UBSAN_OPTIONS="print_stacktrace=1" "${UBSAN_DIR}/support_test"
 UBSAN_OPTIONS="print_stacktrace=1" "${UBSAN_DIR}/net_test"
 echo "ubsan leg OK"
 
+echo "=== AddressSanitizer+UBSan leg (executor, plan, persist, alloc, fuzz, net) ==="
+# Heap misuse in the dynamic executor's node map and successor lists, the
+# compiled-plan arrays, the mapped plan blobs, the wire codec and the
+# session teardown. alloc_test and plan_test replace every global operator
+# new/delete (nothrow forms included), so ASan's alloc/dealloc matching
+# stays on.
+ASAN_DIR="build-ci-asan"
+cmake -B "${ASAN_DIR}" -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DNABBITC_SANITIZE=address \
+  -DNABBITC_WERROR=ON \
+  -DNABBITC_BUILD_BENCH=OFF \
+  -DNABBITC_BUILD_EXAMPLES=OFF
+cmake --build "${ASAN_DIR}" -j "${JOBS}" \
+  --target nabbit_test nabbitc_test plan_test persist_test alloc_test \
+  fuzz_graph_test net_test
+for t in nabbit_test nabbitc_test plan_test persist_test alloc_test \
+    fuzz_graph_test net_test; do
+  UBSAN_OPTIONS="print_stacktrace=1" \
+    "${ASAN_DIR}/${t}"
+done
+echo "asan leg OK"
+
 echo "=== ThreadSanitizer leg (race-prone subset) ==="
 # The CI box has 1 CPU and tsan is ~10x, so this leg builds only the test
 # binaries and runs the race-prone subset: scheduler concurrency and
@@ -483,19 +509,20 @@ cmake --build "${TSAN_DIR}" -j "${JOBS}" \
 # suppressions (see tsan.supp) and would fail the leg spuriously.
 TSAN_OPTIONS="suppressions=$(pwd)/tsan.supp halt_on_error=1 history_size=7" \
   ctest --test-dir "${TSAN_DIR}" --output-on-failure --timeout 600 \
-  -R 'SubmissionControl|ConcurrentStealersEachTaskOnce|ConcurrentRootJobsShareThePool|ConcurrentStress|PlanConcurrent|OverlappingSubmissions|SubmitOptionsKeepSteadyState|FuzzDag8.*/[01]$|FuzzTiny8.*/[01]$|FuzzBatch8.*/[01]$|SubmitRing|BatchSubmission|SharedPlanCompiledOnceAcrossSessions|BatchSubmitDeliversPerItemResults|BatchAdmissionAdmitsPrefixAndReportsScope|NetDisconnect|NetShutdown|PersistConcurrent|ConcurrentRecordMergeMatchesSerial|MetricsAndSlowCaptureOverUnix|DynamicExecutor|DynExecTest|ColoredExecTest|SuccessorList|ConcurrentMap'
+  -R 'SubmissionControl|ConcurrentStealersEachTaskOnce|ConcurrentRootJobsShareThePool|ConcurrentStress|PlanConcurrent|OverlappingSubmissions|SubmitOptionsKeepSteadyState|FuzzDag8.*/[01]$|FuzzTiny8.*/[01]$|FuzzBatch8.*/[01]$|SubmitRing|BatchSubmission|SharedPlanCompiledOnceAcrossSessions|BatchSubmitDeliversPerItemResults|BatchAdmissionAdmitsPrefixAndReportsScope|NetDisconnect|NetShutdown|ResultArrivesWithoutPolling|PersistConcurrent|ConcurrentRecordMergeMatchesSerial|MetricsAndSlowCaptureOverUnix|DynamicExecutor|DynExecTest|ColoredExecTest|SuccessorList|ConcurrentMap'
 echo "tsan leg OK"
 
 echo "=== ThreadSanitizer repeat leg (plan restore, registration, rt/net control) ==="
 # restore() allocates the derived schedule, key table and colors on the
 # daemon's concurrent REGISTER and warm-load paths; repeat the subset that
 # drives those paths (and concurrent plan replay), plus the scheduler's
-# submission control and the daemon's disconnect/shutdown paths, until a
-# run fails, up to 10 times, in the same TSan build.
+# submission control and the daemon's disconnect/shutdown paths (which
+# race the worker's completion notify against the session's teardown of
+# its waker), until a run fails, up to 10 times, in the same TSan build.
 TSAN_OPTIONS="suppressions=$(pwd)/tsan.supp halt_on_error=1 history_size=7" \
   ctest --test-dir "${TSAN_DIR}" --output-on-failure --timeout 600 \
   --repeat until-fail:10 \
-  -R 'PlanConcurrent|PersistConcurrent|SharedPlanCompiledOnceAcrossSessions|FuzzDag8.*/[01]$|SubmissionControl|NetDisconnect|NetShutdown'
+  -R 'PlanConcurrent|PersistConcurrent|SharedPlanCompiledOnceAcrossSessions|FuzzDag8.*/[01]$|SubmissionControl|NetDisconnect|NetShutdown|ResultArrivesWithoutPolling'
 echo "tsan repeat leg OK"
 
 echo "CI OK"

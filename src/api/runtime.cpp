@@ -282,6 +282,7 @@ Execution Runtime::submit(GraphSpec& spec, Key sink, const SubmitOptions& so) {
   };
   st->job.lane = static_cast<std::uint8_t>(so.priority);
   st->job.deadline_ns = so.deadline_ns;
+  st->job.sink = so.sink;
   sched_->submit(st->job);
   return Execution(st.release());
 }
@@ -347,6 +348,7 @@ Execution Runtime::submit(const plan::GraphPlan& plan, const SubmitOptions& so) 
   st.name = so.name;
   st.job.lane = static_cast<std::uint8_t>(so.priority);
   st.job.deadline_ns = so.deadline_ns;
+  st.job.sink = so.sink;
   st.t_submit_ns = now_ns();
   if (plan.serial_lowered()) {
     // Tiny-graph lowering: the whole replay runs right here on the
@@ -387,6 +389,7 @@ void fill_batch_state(detail::ExecutionState& st, rt::Scheduler& sched,
   st.name = so.name;
   st.job.lane = static_cast<std::uint8_t>(so.priority);
   st.job.deadline_ns = so.deadline_ns;
+  st.job.sink = so.sink;
   st.t_submit_ns = t_submit_ns;
 }
 

@@ -20,11 +20,17 @@
 //   * name is an optional label for diagnostics; the string is NOT copied
 //     (keeping the default submit path allocation-free) and must outlive
 //     the execution. nullptr = unnamed.
+//   * sink is an optional completion listener (rt/completion_sink.h): the
+//     worker that finishes the execution notifies it, so a caller tracking
+//     many executions can sleep until one is done instead of polling them.
+//     Not owned; must stay alive until its quiesce() returns. Executions
+//     of tiny-lowered plans finish inside submit() and never notify it.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 
+#include "rt/completion_sink.h"
 #include "rt/status.h"
 #include "support/timing.h"
 
@@ -55,6 +61,8 @@ struct SubmitOptions {
   /// Optional diagnostic label (not owned, not copied; must outlive the
   /// execution). nullptr = unnamed.
   const char* name = nullptr;
+  /// Optional completion listener (not owned). nullptr = none.
+  rt::CompletionSink* sink = nullptr;
 };
 
 /// Absolute now_ns() deadline `d` from now — the convenient way to fill
@@ -66,7 +74,8 @@ inline std::uint64_t deadline_in(std::chrono::nanoseconds d) noexcept {
 /// Lifecycle state / terminal report of one execution, and their canonical
 /// name strings. Defined once in rt/status.h (the trace exporter and the
 /// wire protocol render the same vocabulary); re-exported here as the
-/// public api:: spelling.
+/// public api:: spelling. CompletionSink is re-exported the same way.
+using rt::CompletionSink;
 using rt::exec_status_name;
 using rt::ExecStatus;
 using rt::Status;

@@ -69,8 +69,10 @@ void Server::stop() {
   tcp_listen_.reset();
   unix_listen_.reset();
   {
-    // No new sessions can appear (accept thread is gone); join the rest.
+    // No new sessions can appear (accept thread is gone). Sessions sleep in
+    // an untimed poll: wake each so it sees stop_, then join them all.
     std::lock_guard<std::mutex> slk(sessions_mu_);
+    for (auto& s : sessions_) s->wake();
     for (auto& s : sessions_) s->join();
     sessions_.clear();
   }
@@ -82,7 +84,7 @@ void Server::accept_loop() {
   while (!stopping()) {
     pollfd fds[3];
     nfds_t n = 0;
-    fds[n].fd = wake_.read.get();
+    fds[n].fd = wake_.fd.get();
     fds[n].events = POLLIN;
     ++n;
     const nfds_t tcp_slot = tcp_listen_.valid() ? n : 0;

@@ -126,9 +126,7 @@ struct ServerOptions {
   /// listeners open, so the first client's REGISTER is already warm.
   /// False = lazily, on first REGISTER of each spec.
   bool warm_start = true;
-  /// Session poll period while idle (bounds shutdown latency) and the
-  /// write-stall budget after which a client counts as gone.
-  int idle_poll_ms = 20;
+  /// Write-stall budget after which a client counts as gone.
   int io_timeout_ms = 5000;
 };
 
@@ -273,7 +271,7 @@ class Server {
   Fd tcp_listen_;
   Fd unix_listen_;
   std::uint16_t bound_tcp_port_ = 0;
-  WakePipe wake_;
+  WakeFd wake_;
   std::thread accept_thread_;
 
   std::mutex sessions_mu_;

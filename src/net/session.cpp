@@ -1,6 +1,9 @@
 #include "net/session.h"
 
+#include <poll.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <utility>
 #include <vector>
@@ -17,19 +20,26 @@ namespace {
 /// Session-layer metrics, resolved once per process. dispatch covers one
 /// full frame turnaround (decode + handler + reply write); reply is the
 /// reply write alone, so dispatch - reply isolates server-side work.
+/// pickup is the completion -> RESULT-write stage: from the worker's
+/// completion stamp to the start of the RESULT write. empty_wakeups counts
+/// poll returns after which neither the sweep nor the socket had anything.
 struct NetMetrics {
   obs::Histogram* dispatch_ns;
   obs::Histogram* reply_ns;
+  obs::Histogram* pickup_ns;
   obs::Counter* bytes_in;
   obs::Counter* bytes_out;
+  obs::Counter* empty_wakeups;
 };
 
 NetMetrics& net_metrics() {
   static NetMetrics m{
       &obs::registry().histogram("net_dispatch_ns"),
       &obs::registry().histogram("net_reply_ns"),
+      &obs::registry().histogram("net_pickup_ns"),
       &obs::registry().counter("net_bytes_in_total"),
       &obs::registry().counter("net_bytes_out_total"),
+      &obs::registry().counter("net_session_empty_wakeups_total"),
   };
   return m;
 }
@@ -44,6 +54,10 @@ Session::~Session() { join(); }
 void Session::start() {
   server_.sessions_opened_.fetch_add(1, std::memory_order_relaxed);
   server_.sessions_active_.fetch_add(1, std::memory_order_acq_rel);
+  // Opened here, before the thread exists: Server::stop() may wake() the
+  // session as soon as it is listed. run() disconnects if this failed.
+  std::string ignored;
+  waker_.wfd.open(&ignored);
   thread_ = std::thread([this] { run(); });
 }
 
@@ -53,52 +67,34 @@ void Session::join() {
 
 void Session::run() {
   std::string err;
-  bool disconnected = false;
-  if (!set_nonblocking(fd_.get(), &err)) disconnected = true;
+  bool disconnected = !waker_.wfd.fd.valid() ||
+                      !set_nonblocking(fd_.get(), &err);
+  bool woke = false;          // a poll() returned since the last sweep
+  std::size_t bytes_in = 0;   // what the socket gave after that poll
 
   while (!disconnected && alive_ && !server_.stopping()) {
-    // Short poll with work in flight (the sweep is this loop's only way to
-    // notice completions); long poll when idle to keep the thread quiet.
-    const int timeout_ms =
-        inflight_.empty() ? server_.opts_.idle_poll_ms : 1;
-    const int r = poll_readable(fd_.get(), timeout_ms);
-    if (r < 0) {
+    // Arm BEFORE sweeping: a root that finishes after the sweep passed it
+    // wakes the poll below (see rt/completion_sink.h).
+    waker_.arm();
+    const std::size_t retired = sweep_completed(/*deliver=*/true);
+    if (woke && retired == 0 && bytes_in == 0) {
+      net_metrics().empty_wakeups->add(1);
+    }
+    pollfd fds[2] = {{fd_.get(), POLLIN, 0},
+                     {waker_.wfd.fd.get(), POLLIN, 0}};
+    if (::poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
       disconnected = true;
       break;
     }
-    if (r > 0) {
-      if (!pump_socket()) {
-        disconnected = true;
-        break;
-      }
-      FrameAssembler::Frame f;
-      HeaderStatus hs = HeaderStatus::kOk;
-      bool done = false;
-      while (!done) {
-        switch (assembler_.next(f, &hs)) {
-          case FrameAssembler::Result::kNeedMore:
-            done = true;
-            break;
-          case FrameAssembler::Result::kError:
-            send_protocol_error(err_code_of(hs), header_status_name(hs));
-            disconnected = true;
-            done = true;
-            break;
-          case FrameAssembler::Result::kFrame:
-            frame_t0_ns_ = obs::enabled() ? now_ns() : 0;
-            if (!dispatch(f)) {
-              disconnected = true;
-              done = true;
-            }
-            if (frame_t0_ns_ != 0) {
-              net_metrics().dispatch_ns->record(now_ns() - frame_t0_ns_);
-            }
-            break;
-        }
-      }
-      if (disconnected) break;
+    woke = true;
+    bytes_in = 0;
+    if (fds[1].revents != 0) waker_.wfd.drain();
+    // POLLIN, POLLHUP and POLLERR all mean read() will answer.
+    if (fds[0].revents != 0 &&
+        (!pump_socket(&bytes_in) || !dispatch_frames())) {
+      disconnected = true;
     }
-    sweep_completed(/*deliver=*/true);
   }
 
   // Epilogue: every in-flight execution is joined before this thread exits.
@@ -113,26 +109,53 @@ void Session::run() {
     cancel_all();
     drain_all(/*deliver=*/true);  // push terminal (cancelled) results
   }
+  // Every execution is done, but its worker may still be inside the
+  // waker's notify: wait for it to let go.
+  waker_.quiesce();
 
   fd_.reset();
   server_.sessions_active_.fetch_sub(1, std::memory_order_acq_rel);
   finished_.store(true, std::memory_order_release);
 }
 
-bool Session::pump_socket() {
+bool Session::pump_socket(std::size_t* n) {
   std::uint8_t buf[16 * 1024];
   for (;;) {
-    std::size_t n = 0;
-    switch (read_some(fd_.get(), buf, sizeof(buf), &n)) {
+    std::size_t got = 0;
+    switch (read_some(fd_.get(), buf, sizeof(buf), &got)) {
       case ReadStatus::kData:
-        net_metrics().bytes_in->add(n);
-        assembler_.feed(buf, n);
+        net_metrics().bytes_in->add(got);
+        assembler_.feed(buf, got);
+        *n += got;
         break;
       case ReadStatus::kWouldBlock:
         return true;
       case ReadStatus::kEof:
       case ReadStatus::kError:
         return false;
+    }
+  }
+}
+
+bool Session::dispatch_frames() {
+  FrameAssembler::Frame f;
+  HeaderStatus hs = HeaderStatus::kOk;
+  for (;;) {
+    switch (assembler_.next(f, &hs)) {
+      case FrameAssembler::Result::kNeedMore:
+        return true;
+      case FrameAssembler::Result::kError:
+        send_protocol_error(err_code_of(hs), header_status_name(hs));
+        return false;
+      case FrameAssembler::Result::kFrame: {
+        frame_t0_ns_ = obs::enabled() ? now_ns() : 0;
+        const bool ok = dispatch(f);
+        if (frame_t0_ns_ != 0) {
+          net_metrics().dispatch_ns->record(now_ns() - frame_t0_ns_);
+        }
+        if (!ok) return false;
+        break;
+      }
     }
   }
 }
@@ -244,6 +267,7 @@ bool Session::handle_submit(std::span<const std::uint8_t> body) {
         api::deadline_in(std::chrono::nanoseconds(req.deadline_rel_ns));
   }
   so.name = rec.name.empty() ? nullptr : rec.name.c_str();
+  so.sink = &waker_;
 
   rec.t_submit_ns = now_ns();
   rec.exec = server_.runtime_.submit(*rec.plan, so);
@@ -324,6 +348,7 @@ bool Session::handle_submit_batch(std::span<const std::uint8_t> body) {
             api::deadline_in(std::chrono::nanoseconds(item.deadline_rel_ns));
       }
       so.name = rec.name.empty() ? nullptr : rec.name.c_str();
+      so.sink = &waker_;
       m.exec_ids.push_back(exec_id);
     }
     const std::uint64_t t_submit = now_ns();
@@ -394,17 +419,20 @@ bool Session::handle_slow() {
   return send(FrameType::kSlow, w);
 }
 
-void Session::sweep_completed(bool deliver) {
+std::size_t Session::sweep_completed(bool deliver) {
+  std::size_t retired = 0;
   for (auto it = inflight_.begin(); it != inflight_.end();) {
     if (it->second.exec.done()) {
       finish_record(it->first, it->second, deliver);
       // Erasing destroys the Execution handle, which recycles the pooled
       // plan instance — safe only after finish_record read the sink node.
       it = inflight_.erase(it);
+      ++retired;
     } else {
       ++it;
     }
   }
+  return retired;
 }
 
 void Session::finish_record(std::uint64_t exec_id, InFlight& rec,
@@ -430,6 +458,10 @@ void Session::finish_record(std::uint64_t exec_id, InFlight& rec,
   server_.release_global();
   bool replied = false;
   if (deliver && alive_) {
+    const std::uint64_t t_done = rec.exec.complete_time_ns();
+    if (t_done != 0 && obs::enabled()) {
+      net_metrics().pickup_ns->record(now_ns() - t_done);
+    }
     WireWriter w;
     encode_result(m, w);
     replied = send(FrameType::kResult, w);

@@ -1,19 +1,28 @@
 // One connected client: a thread that speaks the frame protocol and owns
 // that client's in-flight executions.
 //
-// The session loop alternates between socket I/O (poll -> read -> frame
-// reassembly -> dispatch) and sweeping its in-flight table for executions
-// that reached a terminal state, pushing a RESULT frame for each. All
-// Execution handles live in this table, so the lifetime story is simple:
-// whatever ends the loop — orderly client close, abrupt disconnect,
-// protocol error, or server shutdown — the epilogue either drains (waits
-// and, when the socket still works, delivers) or cancels-then-joins every
-// in-flight execution before the thread exits. Cancel-on-disconnect falls
-// out of that epilogue: a vanished client's executions get
+// The session sleeps in one untimed poll(2) on two fds: its socket and its
+// waker. Every execution it submits carries the waker as its completion
+// sink (rt/completion_sink.h), so the worker that finishes the execution's
+// root wakes the poll; Server::stop() wakes it the same way. Each loop turn
+// arms the waker, sweeps the in-flight table for executions that reached a
+// terminal state, pushing a RESULT frame for each, and only then sleeps.
+// Nothing runs on a timer: a RESULT leaves as soon as the session sees the
+// completion event. Tiny plans that ran inline at submit are done before
+// the sweep that follows their SUBMIT.
+//
+// All Execution handles live in the in-flight table, so the lifetime story
+// is simple: whatever ends the loop — orderly client close, abrupt
+// disconnect, protocol error, or server shutdown — the epilogue either
+// drains (waits and, when the socket still works, delivers) or
+// cancels-then-joins every in-flight execution, then waits until no worker
+// can touch the waker again, before the thread exits. Cancel-on-disconnect
+// falls out of that epilogue: a vanished client's executions get
 // Execution::cancel() and nothing else in the server is touched.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -39,8 +48,18 @@ class Session {
   bool finished() const noexcept {
     return finished_.load(std::memory_order_acquire);
   }
+  /// Wakes the session's poll so it re-checks Server::stopping(). Safe
+  /// from any thread until the Session is destroyed.
+  void wake() noexcept { waker_.wake(); }
 
  private:
+  /// The session's completion sink: an eventfd the finishing worker (or
+  /// Server::stop()) notifies.
+  struct Waker final : api::CompletionSink {
+    WakeFd wfd;
+    void wake() noexcept override { wfd.notify(); }
+  };
+
   /// One accepted SUBMIT. The name is copied here because
   /// SubmitOptions::name is a borrowed pointer — the execution must not
   /// outlive it, and an unordered_map's nodes give it a stable address.
@@ -58,8 +77,12 @@ class Session {
   };
 
   void run();
-  /// Reads everything the socket has; false on EOF / hard error.
-  bool pump_socket();
+  /// Reads everything the socket has into the assembler, adding the byte
+  /// count to *n; false on EOF / hard error.
+  bool pump_socket(std::size_t* n);
+  /// Decodes and dispatches every complete frame; false = the connection
+  /// is done.
+  bool dispatch_frames();
   /// Handles one frame. False = the connection is done (protocol error
   /// already answered).
   bool dispatch(const FrameAssembler::Frame& f);
@@ -72,7 +95,8 @@ class Session {
   bool handle_slow();
 
   /// Pushes RESULT for every terminal execution and retires its record.
-  void sweep_completed(bool deliver);
+  /// Returns how many records it retired.
+  std::size_t sweep_completed(bool deliver);
   /// Builds + (optionally) sends the RESULT frame for one finished record,
   /// updates server counters, and releases its global-admission slot.
   void finish_record(std::uint64_t exec_id, InFlight& rec, bool deliver);
@@ -88,6 +112,9 @@ class Session {
   Fd fd_;
   std::uint64_t id_;
   std::thread thread_;
+  /// Opened by start(); closed only when the Session is destroyed, so a
+  /// late Server::stop() notify never writes to a recycled fd number.
+  Waker waker_;
   std::atomic<bool> finished_{false};
   FrameAssembler assembler_;
   std::unordered_map<std::uint64_t, InFlight> inflight_;

@@ -7,6 +7,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <string.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -211,29 +212,25 @@ bool write_all(int fd, const void* buf, std::size_t n, int timeout_ms) {
   return true;
 }
 
-bool WakePipe::open(std::string* err) {
-  int fds[2];
-  if (::pipe(fds) != 0) {
-    set_err(err, "pipe");
+bool WakeFd::open(std::string* err) {
+  fd = Fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
+  if (!fd.valid()) {
+    set_err(err, "eventfd");
     return false;
   }
-  read = Fd(fds[0]);
-  write = Fd(fds[1]);
-  std::string ignored;
-  return set_nonblocking(read.get(), err) && set_nonblocking(write.get(), err) &&
-         set_cloexec(read.get()) && set_cloexec(write.get());
+  return true;
 }
 
-void WakePipe::notify() noexcept {
-  const char b = 1;
-  // Best effort: a full pipe already guarantees a pending wakeup.
-  [[maybe_unused]] const ssize_t r = ::write(write.get(), &b, 1);
+void WakeFd::notify() noexcept {
+  const std::uint64_t one = 1;
+  // Best effort: the only failure is a counter at its maximum, which
+  // already reads as a pending wakeup.
+  [[maybe_unused]] const ssize_t r = ::write(fd.get(), &one, sizeof(one));
 }
 
-void WakePipe::drain() noexcept {
-  char buf[64];
-  while (::read(read.get(), buf, sizeof(buf)) > 0) {
-  }
+void WakeFd::drain() noexcept {
+  std::uint64_t count = 0;
+  [[maybe_unused]] const ssize_t r = ::read(fd.get(), &count, sizeof(count));
 }
 
 }  // namespace nabbitc::net

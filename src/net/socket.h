@@ -3,7 +3,8 @@
 // RAII fd ownership plus the handful of primitives the net layer needs:
 // loopback-TCP / Unix-domain listeners and connectors, non-blocking reads,
 // poll-bounded writes (MSG_NOSIGNAL — a dead peer is a return code here,
-// never a SIGPIPE), and a self-pipe for waking the accept loop. Everything
+// never a SIGPIPE), and an eventfd waker for the accept loop, the sessions
+// and the daemon's signal handler. Everything
 // reports errors by return value + message; nothing in this layer aborts,
 // because every failure mode is reachable from the network.
 #pragma once
@@ -79,11 +80,11 @@ ReadStatus read_some(int fd, void* buf, std::size_t cap, std::size_t* n);
 /// not wedge its session thread forever).
 bool write_all(int fd, const void* buf, std::size_t n, int timeout_ms);
 
-/// Self-pipe for signal-safe / cross-thread wakeups: `read` end is polled,
-/// `write` end takes one-byte notifies. Both non-blocking.
-struct WakePipe {
-  Fd read;
-  Fd write;
+/// Signal-safe / cross-thread wakeup: a non-blocking eventfd. `fd` is
+/// polled for POLLIN; notify() adds 1 to its counter (one write), drain()
+/// resets it (one read), however many notifies came in between.
+struct WakeFd {
+  Fd fd;
   bool open(std::string* err);
   void notify() noexcept;
   void drain() noexcept;

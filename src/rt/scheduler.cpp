@@ -219,6 +219,7 @@ void Scheduler::submit_batch(RootJob* const* jobs, std::size_t n,
     // yet).
     job.cancel.store(0, std::memory_order_relaxed);
     job.batch = sync;
+    if (job.sink != nullptr) job.sink->job_submitted();
     if (job.deadline_ns != 0) {
       ++deadline_count;
       if (min_deadline == 0 || job.deadline_ns < min_deadline) {
@@ -415,6 +416,7 @@ bool Scheduler::finish_root(RootJob& job) {
   // its batch (see RootJob::batch), but `job` itself may be freed by a
   // per-job waiter the instant `done` is visible.
   BatchSync* const batch = job.batch;
+  CompletionSink* const sink = job.sink;
   // Decrement before signalling: wait_idle and the destructor wait on
   // active_jobs_ under mu_ and would otherwise miss the last notification.
   const bool last = active_jobs_.fetch_sub(1, std::memory_order_acq_rel) == 1;
@@ -476,6 +478,9 @@ bool Scheduler::finish_root(RootJob& job) {
       }
     }
   }
+  // Outside mu_: a sink's wake() may be a syscall. The sink's pending
+  // count keeps its owner from destroying it under us.
+  if (sink != nullptr) sink->job_finished();
   return last;  // `job` may be freed by its waiter from here on
 }
 

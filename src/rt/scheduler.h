@@ -55,6 +55,7 @@
 #include "numa/topology.h"
 #include "obs/metrics.h"
 #include "rt/arena.h"
+#include "rt/completion_sink.h"
 #include "rt/counters.h"
 #include "rt/deque.h"
 #include "rt/status.h"
@@ -253,6 +254,12 @@ class Scheduler {
     /// stay alive until the batch's `remaining` hits zero, not just until
     /// `done` — BatchSync::remaining is decremented AFTER `done` is set.
     BatchSync* batch = nullptr;
+    /// Completion listener (rt/completion_sink.h), or null. Set before
+    /// submit(); submit counts the job as pending on the sink, and
+    /// finish_root reads it before `done` — like `batch` — and notifies it
+    /// after `done`. The sink must outlive the job's notify: see
+    /// CompletionSink::quiesce().
+    CompletionSink* sink = nullptr;
     /// Frame epoch assigned at submit() (monotone); tags every arena block
     /// this job's frames land in (see rt/arena.h).
     std::uint64_t frame_epoch = 0;

@@ -591,6 +591,46 @@ TEST(SubmissionControl, HighPriorityOvertakesQueuedLowPriority) {
   EXPECT_EQ(l.status().state, ExecStatus::kCompleted);
 }
 
+/// Completion sink that counts its wakes.
+struct CountingSink final : CompletionSink {
+  std::atomic<int> wakes{0};
+  void wake() noexcept override {
+    wakes.fetch_add(1, std::memory_order_relaxed);
+  }
+};
+
+TEST(SubmissionControl, CompletionSinkWakesOncePerArm) {
+  auto rt = one_worker_runtime();
+  std::atomic<bool> started{false}, release{false};
+  BlockChainSpec blocker(&started, &release, 2);
+  std::vector<int> order(4, -1);
+  std::atomic<std::size_t> cursor{0};
+  TagSpec tag(&order, &cursor, 1);
+  CountingSink sink;
+  SubmitOptions so;
+  so.sink = &sink;
+
+  // Unarmed, a completion wakes nobody.
+  rt.run(tag, 0, so);
+  sink.quiesce();
+  EXPECT_EQ(sink.wakes.load(), 0);
+
+  // Armed once, a burst of three completions wakes exactly once.
+  Execution b = rt.submit(blocker, 1, so);
+  Backoff backoff;
+  while (!started.load(std::memory_order_acquire)) backoff.pause();
+  Execution e1 = rt.submit(tag, 0, so);
+  Execution e2 = rt.submit(tag, 0, so);
+  sink.arm();
+  release.store(true, std::memory_order_release);
+  b.wait();
+  e1.wait();
+  e2.wait();
+  sink.quiesce();
+  EXPECT_EQ(sink.wakes.load(), 1);
+  EXPECT_EQ(cursor.load(), 3u);
+}
+
 TEST(SubmissionControl, CancelAfterCompletionReportsCompleted) {
   // Cooperative semantics: a cancel that loses the race changes nothing —
   // every node computed, the result is whole, the status says so.

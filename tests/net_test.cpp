@@ -534,7 +534,6 @@ ServerOptions test_opts(const std::string& sock_path,
   ServerOptions o;
   o.runtime.workers = workers;
   o.unix_path = sock_path;
-  o.idle_poll_ms = 5;  // tests shut down often; keep the loop snappy
   return o;
 }
 
@@ -655,6 +654,12 @@ TEST(NetService, MetricsAndSlowCaptureOverUnix) {
   const MetricEntry* completed = find("net_completed_total");
   ASSERT_NE(completed, nullptr);
   EXPECT_GE(completed->value, kSubmits);
+  // Completion -> RESULT-write pickup: one sample per delivered RESULT.
+  const MetricEntry* pickup = find("net_pickup_ns");
+  ASSERT_NE(pickup, nullptr);
+  EXPECT_EQ(pickup->kind,
+            static_cast<std::uint8_t>(obs::MetricKind::kHistogram));
+  EXPECT_GE(pickup->value, kSubmits);
 
   // Per-plan latency breakdown, bound at registration.
   char per_plan[64];
@@ -687,12 +692,47 @@ TEST(NetService, MetricsAndSlowCaptureOverUnix) {
   server.stop();
 }
 
+// The session sleeps until the finishing worker wakes it: a ~50 ms
+// execution costs no periodic wakeups (a 1 ms poll would make ~50 empty
+// ones), and its RESULT still arrives.
+TEST(NetService, ResultArrivesWithoutPolling) {
+  const std::string path = unique_sock_path("nopoll");
+  Server server(test_opts(path));
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  Client c;
+  ASSERT_TRUE(c.connect_unix(path)) << c.last_error();
+  const WireGraph g = make_chain(50, 0x44, 1'000'000);  // ~50 ms serial
+  const auto reg = c.register_graph(g);
+  ASSERT_TRUE(reg) << c.last_error();
+  // Too big to run inline at submit: a worker finishes it.
+  ASSERT_FALSE(server.debug_plan(reg->handle)->serial_lowered());
+
+  const obs::Counter& empty =
+      obs::registry().counter("net_session_empty_wakeups_total");
+  const std::uint64_t empty_before = empty.value();
+  const std::uint64_t t0 = now_ns();
+  const auto sub = c.submit(reg->handle, 77, api::Priority::kNormal);
+  ASSERT_TRUE(sub && sub->accepted) << c.last_error();
+  const auto res = c.wait_result(sub->exec_id, /*timeout_ms=*/10'000);
+  ASSERT_TRUE(res) << c.last_error();
+  const std::uint64_t elapsed_ns = now_ns() - t0;
+  EXPECT_EQ(res->state,
+            static_cast<std::uint8_t>(api::ExecStatus::kCompleted));
+  EXPECT_EQ(res->result, wire_result(expected_sink_value(g), 77));
+  EXPECT_GE(elapsed_ns, 40'000'000ull);  // it really executed ~50 ms
+  EXPECT_LE(empty.value() - empty_before, 2u)
+      << "the session woke without work during a "
+      << elapsed_ns / 1'000'000 << " ms execution";
+  server.stop();
+}
+
 TEST(NetService, RegisterSubmitResultOverTcp) {
   ServerOptions o;
   o.runtime.workers = 2;
   o.tcp = true;
   o.tcp_port = 0;  // ephemeral
-  o.idle_poll_ms = 5;
   Server server(std::move(o));
   std::string err;
   ASSERT_TRUE(server.start(&err)) << err;
@@ -1218,6 +1258,46 @@ TEST(NetShutdown, CancelModeStopsPromptlyUnderLoad) {
   EXPECT_EQ(stats.in_flight, 0u);
   // Generous bound: far below the >2.4 s the full queue would need.
   EXPECT_LT(stop_ns, 2'000'000'000ull) << "stop() took " << stop_ns << " ns";
+}
+
+// Idle sessions sleep in an untimed poll; stop() must wake every one of
+// them. If it did not, stop() would never return: after 2 s the test closes
+// the clients (each session then sees EOF) so it fails instead of hanging.
+TEST(NetShutdown, StopWakesIdleSessions) {
+  const std::string path = unique_sock_path("idlestop");
+  Server server(test_opts(path));
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  constexpr int kClients = 4;
+  Client clients[kClients];
+  const WireGraph g = make_wavefront_wire_graph(4, 9);
+  for (Client& c : clients) {
+    ASSERT_TRUE(c.connect_unix(path)) << c.last_error();
+    // A round trip proves the session thread is up and back in its poll.
+    ASSERT_TRUE(c.register_graph(g)) << c.last_error();
+  }
+  ASSERT_EQ(server.stats().sessions_active, static_cast<std::uint64_t>(kClients));
+
+  std::atomic<bool> stopped{false};
+  const std::uint64_t t0 = now_ns();
+  std::thread stopper([&] {
+    server.stop();
+    stopped.store(true, std::memory_order_release);
+  });
+  while (!stopped.load(std::memory_order_acquire) &&
+         now_ns() - t0 < 2'000'000'000ull) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::uint64_t stop_ns = now_ns() - t0;
+  const bool prompt = stopped.load(std::memory_order_acquire);
+  if (!prompt) {
+    for (Client& c : clients) c.close();
+  }
+  stopper.join();
+  EXPECT_TRUE(prompt) << "stop() still running after " << stop_ns / 1'000'000
+                      << " ms with " << kClients << " idle sessions";
+  EXPECT_EQ(server.stats().sessions_active, 0u);
 }
 
 // ------------------------------------------------------- plan persistence

@@ -58,11 +58,11 @@ std::vector<nabbitc::obs::Sample> samples_of(
   return out;
 }
 
-// SIGINT/SIGTERM -> one byte through a self-pipe; the main thread polls it.
+// SIGINT/SIGTERM -> one eventfd notify; the main thread polls it.
 // Everything in the handler is async-signal-safe.
-nabbitc::net::WakePipe g_signal_pipe;
+nabbitc::net::WakeFd g_signal_wake;
 
-void on_signal(int) { g_signal_pipe.notify(); }
+void on_signal(int) { g_signal_wake.notify(); }
 
 int run_server(const nabbitc::Config& cfg) {
   nabbitc::net::ServerOptions opts;
@@ -86,7 +86,7 @@ int run_server(const nabbitc::Config& cfg) {
   opts.warm_start = cfg.get_bool("warm_start", true);
 
   std::string err;
-  if (!g_signal_pipe.open(&err)) {
+  if (!g_signal_wake.open(&err)) {
     std::fprintf(stderr, "nabbitc-serve: %s\n", err.c_str());
     return 1;
   }
@@ -128,7 +128,7 @@ int run_server(const nabbitc::Config& cfg) {
       log_interval_s > 0 ? static_cast<int>(log_interval_s * 1000) : -1;
   for (;;) {
     const int r =
-        nabbitc::net::poll_readable(g_signal_pipe.read.get(), park_ms);
+        nabbitc::net::poll_readable(g_signal_wake.fd.get(), park_ms);
     if (r > 0) break;  // signal
     if (r < 0) continue;  // EINTR
     const nabbitc::net::ServerStats s = server.stats();
@@ -151,7 +151,7 @@ int run_server(const nabbitc::Config& cfg) {
                  static_cast<unsigned long long>(s.arena_bytes));
     std::fflush(stderr);
   }
-  g_signal_pipe.drain();
+  g_signal_wake.drain();
 
   std::fprintf(stderr, "nabbitc-serve: shutting down (%s)\n",
                server.options().drain_on_shutdown ? "drain" : "cancel");
