@@ -14,7 +14,9 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/nabbitc.h"
@@ -327,23 +329,37 @@ void bench_runtime_submit(const BenchParams& p) {
 
 // The same single-node round trip through a compiled plan: instance reset +
 // injection handshake only — the amortized-to-zero graph-construction path
-// (compare against runtime_submit_ns). Note both run on a ONE-worker pool,
-// where the external waiter parks immediately instead of spin-yielding
-// (Scheduler::wait_spin_limit — spinning there steals the lone worker's
-// CPU under load), so these round trips include a futex sleep/wake pair;
+// (compare against runtime_submit_ns). With every pass on, the one-node plan
+// is tiny-lowered and replays inline on the submitting thread
+// (plan_replay_submit_ns). With lowering masked it takes the scheduler path
+// — root job injection, spawn, compute_and_notify
+// (plan_sched_replay_submit_ns) — on a ONE-worker pool, where the external
+// waiter parks immediately instead of spin-yielding
+// (Scheduler::wait_spin_limit — spinning there steals the lone worker's CPU
+// under load), so that round trip includes a futex sleep/wake pair;
 // multi-worker serving latency is bench_throughput / bench_serving's job.
-void bench_plan_replay_submit(const BenchParams& p) {
+void plan_replay_round_trip(const BenchParams& p, const char* metric,
+                            std::uint32_t passes) {
   api::RuntimeOptions ro;
   ro.workers = 1;
   api::Runtime rt(ro);
   OneSpec spec;
-  auto plan = rt.compile(spec, 0);
-  report("plan_replay_submit_ns", best_ns_per_op(p, [&](std::uint64_t n) {
+  auto plan = rt.compile(spec, 0, /*reserve_instances=*/1, passes);
+  report(metric, best_ns_per_op(p, [&](std::uint64_t n) {
            for (std::uint64_t i = 0; i < n; ++i) {
              rt.run(*plan);
            }
          }, 256),
          "ns/op");
+}
+
+void bench_plan_replay_submit(const BenchParams& p) {
+  plan_replay_round_trip(p, "plan_replay_submit_ns", plan::kPassAll);
+}
+
+void bench_plan_sched_replay_submit(const BenchParams& p) {
+  plan_replay_round_trip(p, "plan_sched_replay_submit_ns",
+                         plan::kPassAll & ~plan::kPassTinyLower);
 }
 
 // The same round trip, batched: 32 single-node replays enter the scheduler
@@ -490,6 +506,26 @@ void bench_metrics_scrape(const BenchParams& p) {
          "ns/op");
 }
 
+/// "<cpu model> x<logical cpus>", so a committed baseline names the box
+/// it was measured on.
+std::string host_name() {
+  std::string model = "unknown cpu";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[256];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      if (std::strncmp(line, "model name", 10) != 0) continue;
+      const char* colon = std::strchr(line, ':');
+      if (colon == nullptr) break;
+      model = colon + 1;
+      model.erase(0, model.find_first_not_of(" \t"));
+      if (!model.empty() && model.back() == '\n') model.pop_back();
+      break;
+    }
+    std::fclose(f);
+  }
+  return model + " x" + std::to_string(std::thread::hardware_concurrency());
+}
+
 void write_json(const std::string& path, const std::string& preset,
                 const BenchParams& p, std::uint32_t grid_side,
                 std::uint32_t workers) {
@@ -501,6 +537,7 @@ void write_json(const std::string& path, const std::string& preset,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"micro_runtime\",\n");
   std::fprintf(f, "  \"preset\": \"%s\",\n", preset.c_str());
+  std::fprintf(f, "  \"host\": \"%s\",\n", host_name().c_str());
   std::fprintf(f, "  \"repeats\": %d,\n", p.repeats);
   std::fprintf(f, "  \"grid_side\": %u,\n", grid_side);
   std::fprintf(f, "  \"dynamic_workers\": %u,\n", workers);
@@ -551,6 +588,7 @@ int main(int argc, char** argv) {
       {"spawn_sync", bench_spawn_sync},
       {"runtime_submit", bench_runtime_submit},
       {"plan_replay_submit", bench_plan_replay_submit},
+      {"plan_sched_replay_submit", bench_plan_sched_replay_submit},
       {"plan_batch_submit", bench_plan_batch_submit},
       {"plan_persist", bench_plan_persist},
       {"submit_ring_push", bench_submit_ring_push},

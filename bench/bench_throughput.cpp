@@ -76,57 +76,6 @@ struct StreamSpec final : nabbit::GraphSpec {
   }
 };
 
-/// Chain-heavy pipeline workload: `chains` independent chains of `len`
-/// nodes feeding one sink. The chain-fusion compiler pass collapses each
-/// chain into a single scheduling unit, so the replay moves ~chains units
-/// through the scheduler instead of chains*len nodes — ci.sh gates on the
-/// reported fused/original node counts.
-struct PipeNode final : nabbit::TaskGraphNode {
-  std::atomic<std::uint64_t>* acc;
-  std::uint32_t chains, len;
-  PipeNode(std::atomic<std::uint64_t>* a, std::uint32_t c, std::uint32_t l)
-      : acc(a), chains(c), len(l) {}
-  void init(nabbit::ExecContext&) override {
-    const std::uint32_t c = nabbit::key_major(key());
-    const std::uint32_t i = nabbit::key_minor(key());
-    if (c == chains) {  // sink: joins every chain's tail
-      for (std::uint32_t t = 0; t < chains; ++t) {
-        add_predecessor(nabbit::key_pack(t, len - 1));
-      }
-    } else if (i > 0) {
-      add_predecessor(nabbit::key_pack(c, i - 1));
-    }
-  }
-  void compute(nabbit::ExecContext&) override {
-    acc->fetch_add(key() + 1, std::memory_order_relaxed);
-  }
-};
-
-struct PipeSpec final : nabbit::GraphSpec {
-  std::atomic<std::uint64_t>* acc;
-  std::uint32_t chains, len, colors;
-  PipeSpec(std::atomic<std::uint64_t>* a, std::uint32_t c, std::uint32_t l,
-           std::uint32_t nc)
-      : acc(a), chains(c), len(l), colors(nc) {}
-  nabbit::TaskGraphNode* create(nabbit::NodeArena& arena, Key) override {
-    return arena.create<PipeNode>(acc, chains, len);
-  }
-  numa::Color color_of(Key k) const override {
-    return static_cast<numa::Color>(nabbit::key_major(k) % colors);
-  }
-  std::size_t expected_nodes() const override {
-    return std::size_t{chains} * len + 1;
-  }
-  Key sink_key() const { return nabbit::key_pack(chains, 0); }
-  std::uint64_t per_run_total() const {
-    std::uint64_t t = sink_key() + 1;
-    for (std::uint32_t c = 0; c < chains; ++c) {
-      for (std::uint32_t i = 0; i < len; ++i) t += nabbit::key_pack(c, i) + 1;
-    }
-    return t;
-  }
-};
-
 struct Metric {
   std::string name;
   double value;
@@ -270,32 +219,6 @@ int main(int argc, char** argv) {
   report("plan_instances", static_cast<double>(plan->instances_built()),
          "instances");
   report("arena_bytes_after", static_cast<double>(rt.arena_bytes()), "bytes");
-
-  // --- chain-heavy pipeline: what the chain-fusion pass buys on the
-  // workload shape it targets. Each chain collapses to one unit, so the
-  // fused count must be well under the node count (gated in ci.sh).
-  {
-    std::atomic<std::uint64_t> pacc{0};
-    const std::uint32_t chains = 8;
-    const std::uint32_t len = tiny ? 16 : 64;
-    PipeSpec pspec(&pacc, chains, len, rt.workers());
-    auto pplan = rt.compile(pspec, pspec.sink_key());
-    check(pplan->num_nodes() == chains * len + 1, "pipeline plan wrong size");
-    check(pplan->num_fused_nodes() < pplan->num_nodes(),
-          "chain fusion did not collapse the pipeline workload");
-    const std::uint64_t pipe_total = pspec.per_run_total();
-    pacc.store(0);
-    rt.run(*pplan);  // warm-up + correctness
-    check(pacc.load() == pipe_total, "pipeline replay diverged");
-    pacc.store(0);
-    const double pipe_s =
-        best_seconds(repeats, rounds, [&] { rt.run(*pplan); });
-    check(pacc.load() % pipe_total == 0, "pipeline replays diverged");
-    report("plan_nodes", static_cast<double>(pplan->num_nodes()), "nodes");
-    report("plan_fused_nodes", static_cast<double>(pplan->num_fused_nodes()),
-           "units");
-    report("pipeline_replay_submit_ns", pipe_s * 1e9 / rounds, "ns/graph");
-  }
 
   // --- JSON out.
   std::FILE* f = std::fopen(out.c_str(), "w");

@@ -323,19 +323,41 @@ std::unique_ptr<plan::GraphPlan> Runtime::restore_plan(
   return plan::restore(spec, sink, po, std::move(frozen));
 }
 
+namespace {
+
+/// The one place a plan replay's ExecutionState is filled, for singleton
+/// and batched submission alike.
+void fill_plan_state(detail::ExecutionState& st, rt::Scheduler& sched,
+                     const plan::GraphPlan& plan, const SubmitOptions& so,
+                     std::uint64_t t_submit_ns) {
+  st.sched = &sched;
+  st.sink = plan.sink();
+  st.name = so.name;
+  st.job.lane = static_cast<std::uint8_t>(so.priority);
+  st.job.deadline_ns = so.deadline_ns;
+  st.job.sink = so.sink;
+  st.t_submit_ns = t_submit_ns;
+}
+
+/// A plan compiled for the other variant would replay colored spawns on a
+/// random-steal pool (or vice versa) — the exact mismatch this façade
+/// exists to make unrepresentable. Runtime::compile derives the flag, so
+/// this only fires for plans smuggled across differently-configured
+/// runtimes.
+void check_plan_variant(const plan::GraphPlan& plan, Variant variant) {
+  NABBITC_CHECK_MSG(plan.colored() == (variant == Variant::kNabbitC),
+                    "GraphPlan was compiled for a different variant than "
+                    "this Runtime");
+}
+
+}  // namespace
+
 Execution Runtime::submit(const plan::GraphPlan& plan) {
   return submit(plan, opts_.default_submit);
 }
 
 Execution Runtime::submit(const plan::GraphPlan& plan, const SubmitOptions& so) {
-  // A plan compiled for the other variant would replay colored spawns on a
-  // random-steal pool (or vice versa) — the exact mismatch this façade
-  // exists to make unrepresentable. Runtime::compile derives the flag, so
-  // this only fires for plans smuggled across differently-configured
-  // runtimes.
-  NABBITC_CHECK_MSG(plan.colored() == (opts_.variant == Variant::kNabbitC),
-                    "GraphPlan was compiled for a different variant than "
-                    "this Runtime");
+  check_plan_variant(plan, opts_.variant);
   // The whole replay submit path is allocation-free once the plan's
   // instance pool is warm — for ANY SubmitOptions value: acquire + reset
   // reuse a pooled instance, the RootJob and its bound closure are embedded
@@ -343,13 +365,7 @@ Execution Runtime::submit(const plan::GraphPlan& plan, const SubmitOptions& so) 
   // pointer at the embedded state.
   plan::PlanInstance* inst = plan.acquire();
   detail::ExecutionState& st = inst->exec_state();
-  st.sched = sched_.get();
-  st.sink = plan.sink();
-  st.name = so.name;
-  st.job.lane = static_cast<std::uint8_t>(so.priority);
-  st.job.deadline_ns = so.deadline_ns;
-  st.job.sink = so.sink;
-  st.t_submit_ns = now_ns();
+  fill_plan_state(st, *sched_, plan, so, now_ns());
   if (plan.serial_lowered()) {
     // Tiny-graph lowering: the whole replay runs right here on the
     // submitting thread — no scheduler round-trip, no worker wake, no
@@ -379,28 +395,6 @@ Execution Runtime::run(const plan::GraphPlan& plan, const SubmitOptions& so) {
 // worker wake — the per-replay overhead singleton submit() pays N times is
 // paid once per batch.
 
-namespace {
-
-void fill_batch_state(detail::ExecutionState& st, rt::Scheduler& sched,
-                      const plan::GraphPlan& plan, const SubmitOptions& so,
-                      std::uint64_t t_submit_ns) {
-  st.sched = &sched;
-  st.sink = plan.sink();
-  st.name = so.name;
-  st.job.lane = static_cast<std::uint8_t>(so.priority);
-  st.job.deadline_ns = so.deadline_ns;
-  st.job.sink = so.sink;
-  st.t_submit_ns = t_submit_ns;
-}
-
-void check_plan_variant(const plan::GraphPlan& plan, Variant variant) {
-  NABBITC_CHECK_MSG(plan.colored() == (variant == Variant::kNabbitC),
-                    "GraphPlan was compiled for a different variant than "
-                    "this Runtime");
-}
-
-}  // namespace
-
 void BatchHandle::init(Runtime& rt, const plan::GraphPlan& plan,
                        std::size_t n, const SubmitOptions* uniform,
                        const SubmitOptions* per_item) {
@@ -424,8 +418,8 @@ void BatchHandle::init(Runtime& rt, const plan::GraphPlan& plan,
   const std::uint64_t t_submit = now_ns();
   for (std::size_t i = 0; i < n; ++i) {
     detail::ExecutionState& st = insts_[i]->exec_state();
-    fill_batch_state(st, *sched_, plan,
-                     per_item != nullptr ? per_item[i] : *uniform, t_submit);
+    fill_plan_state(st, *sched_, plan,
+                    per_item != nullptr ? per_item[i] : *uniform, t_submit);
     jobs_[i] = &st.job;
   }
   sched_->submit_batch(jobs_, n, &sync_);
@@ -526,7 +520,7 @@ void Runtime::submit_batch(const plan::GraphPlan& plan,
     const std::uint64_t t_submit = now_ns();
     for (std::size_t i = 0; i < k; ++i) {
       detail::ExecutionState& st = insts[i]->exec_state();
-      fill_batch_state(st, *sched_, plan, items[done + i], t_submit);
+      fill_plan_state(st, *sched_, plan, items[done + i], t_submit);
       jobs[i] = &st.job;
     }
     // No BatchSync: each Execution waits on its own job's done flag, so a

@@ -44,7 +44,7 @@ class PlanInstance;
 struct FrozenPlan;
 /// Mirrors plan::kPassAll (plan/plan.h) without pulling the header in —
 /// static_assert'd equal in runtime.cpp.
-inline constexpr std::uint32_t kAllCompilerPasses = (1u << 3) - 1;
+inline constexpr std::uint32_t kAllCompilerPasses = (1u << 1) | (1u << 2);
 }  // namespace nabbitc::plan
 
 namespace nabbitc::api {

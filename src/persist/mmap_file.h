@@ -3,9 +3,9 @@
 // Two jobs, both boring on purpose:
 //
 //   * MappedFile — read-only mmap of a whole file, exposed as a byte span.
-//     PlanBlobView's persisted arrays (keys, predecessor CSR, unit
-//     partition) point straight into it; only the schedule, key table and
-//     colors derived from them are built in memory at load. mmap bases are
+//     PlanBlobView's persisted arrays (keys, predecessor CSR) point
+//     straight into it; only the schedule, key table and colors derived
+//     from them are built in memory at load. mmap bases are
 //     page-aligned, which satisfies the blob format's 8-byte alignment
 //     requirement by construction.
 //

@@ -21,8 +21,6 @@ std::uint64_t section_bytes(const PlanBlobHeader& h, std::uint32_t sec) {
     case kSecPredOff:     return (n + 1) * sizeof(std::uint32_t);
     case kSecPredIdx:     return std::uint64_t{h.n_edges} * sizeof(std::uint32_t);
     case kSecSpec:        return h.spec_len;
-    case kSecUnitOff:     return (std::uint64_t{h.fused_n} + 1) * sizeof(std::uint32_t);
-    case kSecUnitNodes:   return n * sizeof(std::uint32_t);
     default:              return 0;
   }
 }
@@ -90,7 +88,6 @@ std::vector<std::uint8_t> serialize_plan(const plan::GraphPlan& plan,
   h.instance_slab_bytes = f.instance_slab_bytes;
   h.n_edges = static_cast<std::uint32_t>(f.pred_idx.size());
   h.spec_len = static_cast<std::uint32_t>(spec_bytes.size());
-  h.fused_n = f.fused_n;
   h.passes = f.passes;
   compute_layout(h);
 
@@ -105,8 +102,6 @@ std::vector<std::uint8_t> serialize_plan(const plan::GraphPlan& plan,
   put(kSecPredOff, f.pred_off.data());
   put(kSecPredIdx, f.pred_idx.data());
   put(kSecSpec, spec_bytes.data());
-  put(kSecUnitOff, f.unit_off.data());
-  put(kSecUnitNodes, f.unit_nodes.data());
 
   h.body_hash = bulk_hash_64(
       {out.data() + sizeof(PlanBlobHeader), out.size() - sizeof(PlanBlobHeader)});
@@ -156,7 +151,6 @@ BlobError PlanBlobView::parse(std::span<const std::uint8_t> bytes) {
   if (hdr_.n == 0 || hdr_.n > (1u << 24)) return BlobError::kBadLayout;
   if (hdr_.n_edges > (1u << 28)) return BlobError::kBadLayout;
   if (hdr_.spec_len > (64u << 20)) return BlobError::kBadLayout;
-  if (hdr_.fused_n == 0 || hdr_.fused_n > hdr_.n) return BlobError::kBadLayout;
   if ((hdr_.passes & ~plan::kPassAll) != 0) return BlobError::kBadLayout;
 
   // Offsets are fully determined by the counts: recompute and require an
@@ -197,11 +191,8 @@ plan::FrozenPlan PlanBlobView::frozen(std::shared_ptr<const void> backing) const
   f.pred_off = typed_section<std::uint32_t>(bytes_, hdr_, kSecPredOff);
   f.pred_idx = typed_section<std::uint32_t>(bytes_, hdr_, kSecPredIdx);
   f.instance_slab_bytes = hdr_.instance_slab_bytes;
-  f.fused_n = hdr_.fused_n;
   f.passes = hdr_.passes;
   f.serial_lower = (hdr_.flags & kPlanBlobFlagSerialLowered) != 0;
-  f.unit_off = typed_section<std::uint32_t>(bytes_, hdr_, kSecUnitOff);
-  f.unit_nodes = typed_section<std::uint32_t>(bytes_, hdr_, kSecUnitNodes);
   f.backing = std::move(backing);
   return f;
 }

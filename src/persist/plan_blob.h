@@ -1,13 +1,13 @@
 // PlanBlob: the on-disk form of a compiled GraphPlan.
 //
-// A blob is one contiguous byte buffer: a fixed 136-byte POD header
-// followed by 6 dense, 8-byte-aligned sections holding what compile()
-// DECIDED — keys in layout order, the predecessor CSR, the fused-unit
-// partition (native byte order) — plus the canonical WireGraph spec bytes
-// the plan was compiled from. Everything derivable from those (colors, the
-// cross-unit schedule, the key table) is rebuilt at load by
-// plan::derive_frozen(), the same code compile() runs, so an artifact can
-// never disagree with it — and colors follow the LOADING runtime's width.
+// A blob is one contiguous byte buffer: a fixed 120-byte POD header
+// followed by 4 dense, 8-byte-aligned sections holding what compile()
+// DECIDED — keys in layout order and the predecessor CSR (native byte
+// order) — plus the canonical WireGraph spec bytes the plan was compiled
+// from. Everything derivable from those (colors, the schedule, the key
+// table) is rebuilt at load by plan::derive_frozen(), the same code
+// compile() runs, so an artifact can never disagree with it — and colors
+// follow the LOADING runtime's width.
 // A load maps the file, runs parse() (bounds/stamp/checksum/structure
 // checks), and hands the persisted views, still pointing into the mapping,
 // to plan::restore(). Node *functions* are not serialized — they are
@@ -22,7 +22,7 @@
 //
 // Integrity is layered exactly like the wire codec's trust model:
 //   1. stamps   — magic/endian/version/ABI refuse foreign files cheaply;
-//   2. checksums — header_hash (FNV-1a over 136 bytes) + body_hash
+//   2. checksums — header_hash (FNV-1a over 120 bytes) + body_hash
 //      (bulk_hash_64, word-parallel so validation stays far cheaper than a
 //      recompile) catch torn writes and bit rot before any field is
 //      believed;
@@ -59,7 +59,9 @@ namespace nabbitc::persist {
 /// re-derived at load. 13 sections and 5 header counts dropped.
 /// v4: the count-locality flag bit is gone (locality is always counted);
 /// a v3 blob carries it and is refused rather than reinterpreted.
-inline constexpr std::uint32_t kPlanBlobVersion = 4;
+/// v5: chain fusion is gone, and with it the unit partition (two sections)
+/// and the header's unit count; a plan dispatches nodes.
+inline constexpr std::uint32_t kPlanBlobVersion = 5;
 
 /// Written as a native u32; reads back byte-swapped on a foreign-endian
 /// machine, which is the detection.
@@ -74,10 +76,7 @@ enum PlanBlobSection : std::uint32_t {
   kSecPredOff,       // u32[n+1]
   kSecPredIdx,       // u32[n_edges]
   kSecSpec,          // u8[spec_len]   (canonical REGISTER encoding)
-  // v2: the fused-unit partition (see plan.h FrozenPlan).
-  kSecUnitOff,       // u32[fused_n+1]
-  kSecUnitNodes,     // u32[n]
-  kPlanBlobSections  // = 6
+  kPlanBlobSections  // = 4
 };
 
 struct PlanBlobHeader {
@@ -95,11 +94,11 @@ struct PlanBlobHeader {
   std::uint64_t instance_slab_bytes;
   std::uint32_t n_edges;
   std::uint32_t spec_len;
-  std::uint32_t fused_n;        // schedulable units after chain fusion
   std::uint32_t passes;         // kPass* mask compile() applied
+  std::uint32_t reserved;       // written 0; keeps the header 8-byte sized
   std::uint64_t section_off[kPlanBlobSections];  // from blob start
 };
-static_assert(sizeof(PlanBlobHeader) == 136, "on-disk header layout");
+static_assert(sizeof(PlanBlobHeader) == 120, "on-disk header layout");
 static_assert(sizeof(PlanBlobHeader) % 8 == 0);
 static_assert(std::is_trivially_copyable_v<PlanBlobHeader>);
 

@@ -76,9 +76,7 @@ bool PlanInstance::try_build() {
       if (got[j] != f.keys[want[j]]) return false;
     }
   }
-  // Join counters are per fused UNIT (the dispatch granularity), not per
-  // node — chain fusion is precisely the removal of intra-chain joins.
-  join_ = std::make_unique<std::atomic<std::int32_t>[]>(f.fused_n);
+  join_ = std::make_unique<std::atomic<std::int32_t>[]>(n);
   return true;
 }
 
@@ -89,10 +87,8 @@ void PlanInstance::reset_for_replay() noexcept {
   // joins + statuses + counts below restores the instance completely.
   const FrozenPlan& f = plan_->f_;
   const std::uint32_t n = f.n;
-  for (std::uint32_t u = 0; u < f.fused_n; ++u) {
-    join_[u].store(f.unit_join[u], std::memory_order_relaxed);
-  }
   for (std::uint32_t i = 0; i < n; ++i) {
+    join_[i].store(f.join[i], std::memory_order_relaxed);
     nodes_[i]->status_.store(nabbit::NodeStatus::kVisited,
                              std::memory_order_relaxed);
   }
@@ -219,6 +215,26 @@ struct DiscoveryLookup final : nabbit::NodeLookup {
   }
 };
 
+/// Successor transpose of a predecessor CSR: row v lists every node that
+/// names v as a predecessor, once per edge, in ascending node order. The
+/// level analysis in compile() and the replay schedule in derive_frozen()
+/// both build theirs here.
+void build_successors(std::uint32_t n, std::span<const std::uint32_t> pred_off,
+                      std::span<const std::uint32_t> pred_idx,
+                      std::vector<std::uint32_t>& succ_off,
+                      std::vector<std::uint32_t>& succ_idx) {
+  succ_off.assign(n + 1, 0);
+  for (const std::uint32_t p : pred_idx) ++succ_off[p + 1];
+  for (std::uint32_t i = 0; i < n; ++i) succ_off[i + 1] += succ_off[i];
+  succ_idx.assign(pred_idx.size(), 0);
+  std::vector<std::uint32_t> cursor(succ_off.begin(), succ_off.end() - 1);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t e = pred_off[i]; e < pred_off[i + 1]; ++e) {
+      succ_idx[cursor[pred_idx[e]]++] = i;
+    }
+  }
+}
+
 /// compile()'s owned backing store for the frozen views: one allocation
 /// (shared_ptr'd into FrozenPlan::backing) holding every array. The persist
 /// layer substitutes a mapped file for the persisted group here; neither
@@ -227,8 +243,6 @@ struct OwnedStorage {
   std::vector<Key> keys;
   std::vector<std::uint32_t> pred_off;
   std::vector<std::uint32_t> pred_idx;
-  std::vector<std::uint32_t> unit_off;
-  std::vector<std::uint32_t> unit_nodes;
   DerivedArrays derived;
 };
 
@@ -292,8 +306,8 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
     }
   }
 
-  // --- freeze topology into CSR arrays (discovery index space; the
-  // optimization passes below may renumber everything).
+  // --- freeze topology into CSR arrays (discovery index space; the level
+  // order pass below may renumber everything).
   const auto n = static_cast<std::uint32_t>(nodes.size());
   auto st = std::make_shared<OwnedStorage>();
   OwnedStorage& s = *st;
@@ -312,124 +326,61 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
     }
   }
 
-  // Successor transpose, for the passes' own analysis only (the replay
-  // schedule is derive_frozen()'s unit-level transpose).
-  std::vector<std::uint32_t> succ_off(n + 1, 0);
-  for (const std::uint32_t p : s.pred_idx) ++succ_off[p + 1];
-  for (std::uint32_t i = 0; i < n; ++i) succ_off[i + 1] += succ_off[i];
-  std::vector<std::uint32_t> succ_idx(s.pred_idx.size());
-  {
-    std::vector<std::uint32_t> cursor(succ_off.begin(), succ_off.end() - 1);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      for (std::uint32_t e = s.pred_off[i]; e < s.pred_off[i + 1]; ++e) {
-        succ_idx[cursor[s.pred_idx[e]]++] = i;
-      }
-    }
-  }
-
   // --- optimization passes -------------------------------------------------
   const std::uint32_t passes = opts.passes & kPassAll;
-  const auto pred_cnt = [&s](std::uint32_t v) {
-    return s.pred_off[v + 1] - s.pred_off[v];
-  };
-  const auto succ_cnt = [&succ_off](std::uint32_t v) {
-    return succ_off[v + 1] - succ_off[v];
-  };
 
-  // Topological levels (Kahn over the frozen CSR): level[v] = longest root
-  // path, the layout pass's primary sort key.
-  std::vector<std::uint32_t> level(n, 0);
-  {
-    std::vector<std::uint32_t> pending(n);
-    std::vector<std::uint32_t> queue;
-    queue.reserve(n);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      pending[v] = pred_cnt(v);
-      if (pending[v] == 0) queue.push_back(v);
-    }
-    std::size_t head = 0;
-    while (head < queue.size()) {
-      const std::uint32_t u = queue[head++];
-      for (std::uint32_t e = succ_off[u]; e < succ_off[u + 1]; ++e) {
-        const std::uint32_t v = succ_idx[e];
-        if (level[v] < level[u] + 1) level[v] = level[u] + 1;
-        if (--pending[v] == 0) queue.push_back(v);
-      }
-    }
-    NABBITC_CHECK_MSG(queue.size() == n, "cycle escaped discovery");
-  }
-
-  // Pass 1 — chain fusion. A node is chain-interior iff it has exactly one
-  // predecessor and that predecessor has exactly one successor; units are
-  // the maximal runs of such edges, executed serially by the replay path so
-  // the join/dispatch cost is paid once per run. With the pass off, every
-  // unit is a singleton.
-  std::vector<std::uint8_t> interior(n, 0);
-  if ((passes & kPassChainFusion) != 0) {
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (pred_cnt(v) == 1 && succ_cnt(s.pred_idx[s.pred_off[v]]) == 1) {
-        interior[v] = 1;
-      }
-    }
-  }
-  std::vector<std::uint32_t> heads;  // unit entry nodes, discovery order
-  heads.reserve(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (!interior[v]) heads.push_back(v);
-  }
-  const auto fused_n = static_cast<std::uint32_t>(heads.size());
-  const auto chain_next = [&](std::uint32_t v) -> std::uint32_t {
-    if (succ_cnt(v) == 1) {
-      const std::uint32_t w = succ_idx[succ_off[v]];
-      if (interior[w]) return w;
-    }
-    return GraphPlan::kInvalidIndex;
-  };
-
-  // Pass 2 — level-ordered layout. Order units level-major (entry node's
-  // level, then color, then discovery order) and renumber nodes by (unit
-  // rank, position in chain) so notify-time successor scans touch
-  // neighbouring cache lines. The sink keeps index 0 (persisted invariant:
-  // keys[0] == sink_key). With the pass off, discovery order stands.
-  std::vector<std::uint32_t> unit_order(fused_n);
-  for (std::uint32_t i = 0; i < fused_n; ++i) unit_order[i] = i;
-  std::vector<std::uint32_t> new_of(n);
-  for (std::uint32_t v = 0; v < n; ++v) new_of[v] = v;
+  // Pass 1 — level-ordered layout. Renumber nodes level-major (topological
+  // level, then color, then discovery order) so notify-time successor scans
+  // touch neighbouring cache lines. The sink keeps index 0 (persisted
+  // invariant: keys[0] == sink_key). With the pass off, discovery order
+  // stands.
   if ((passes & kPassLevelOrder) != 0) {
-    std::stable_sort(unit_order.begin(), unit_order.end(),
+    const auto pred_cnt = [&s](std::uint32_t v) {
+      return s.pred_off[v + 1] - s.pred_off[v];
+    };
+    std::vector<std::uint32_t> succ_off;
+    std::vector<std::uint32_t> succ_idx;
+    build_successors(n, s.pred_off, s.pred_idx, succ_off, succ_idx);
+
+    // Topological levels (Kahn over the frozen CSR): level[v] = longest
+    // root path.
+    std::vector<std::uint32_t> level(n, 0);
+    {
+      std::vector<std::uint32_t> pending(n);
+      std::vector<std::uint32_t> queue;
+      queue.reserve(n);
+      for (std::uint32_t v = 0; v < n; ++v) {
+        pending[v] = pred_cnt(v);
+        if (pending[v] == 0) queue.push_back(v);
+      }
+      std::size_t head = 0;
+      while (head < queue.size()) {
+        const std::uint32_t u = queue[head++];
+        for (std::uint32_t e = succ_off[u]; e < succ_off[u + 1]; ++e) {
+          const std::uint32_t v = succ_idx[e];
+          if (level[v] < level[u] + 1) level[v] = level[u] + 1;
+          if (--pending[v] == 0) queue.push_back(v);
+        }
+      }
+      NABBITC_CHECK_MSG(queue.size() == n, "cycle escaped discovery");
+    }
+
+    std::vector<std::uint32_t> order(n);
+    for (std::uint32_t v = 0; v < n; ++v) order[v] = v;
+    std::stable_sort(order.begin(), order.end(),
                      [&](std::uint32_t a, std::uint32_t b) {
-                       const std::uint32_t ha = heads[a], hb = heads[b];
-                       if (level[ha] != level[hb]) return level[ha] < level[hb];
-                       const numa::Color ca = nodes[ha]->color();
-                       const numa::Color cb = nodes[hb]->color();
+                       if (level[a] != level[b]) return level[a] < level[b];
+                       const numa::Color ca = nodes[a]->color();
+                       const numa::Color cb = nodes[b]->color();
                        if (ca != cb) return ca < cb;
-                       return ha < hb;
+                       return a < b;
                      });
+    std::vector<std::uint32_t> new_of(n);
     std::uint32_t next = 1;
-    for (std::uint32_t r = 0; r < fused_n; ++r) {
-      for (std::uint32_t v = heads[unit_order[r]];
-           v != GraphPlan::kInvalidIndex; v = chain_next(v)) {
-        new_of[v] = (v == 0) ? 0 : next++;
-      }
-    }
-  }
+    for (const std::uint32_t v : order) new_of[v] = (v == 0) ? 0 : next++;
 
-  // Unit membership in the final index space, one CSR row per unit in final
-  // unit order (chain members stay in execution order).
-  s.unit_off.assign(fused_n + 1, 0);
-  s.unit_nodes.reserve(n);
-  for (std::uint32_t r = 0; r < fused_n; ++r) {
-    for (std::uint32_t v = heads[unit_order[r]]; v != GraphPlan::kInvalidIndex;
-         v = chain_next(v)) {
-      s.unit_nodes.push_back(new_of[v]);
-    }
-    s.unit_off[r + 1] = static_cast<std::uint32_t>(s.unit_nodes.size());
-  }
-  NABBITC_CHECK_MSG(s.unit_nodes.size() == n, "fusion lost nodes");
-
-  // Apply the permutation to the node-space arrays (and the prototype's
-  // payload slots).
-  if ((passes & kPassLevelOrder) != 0) {
+    // Apply the permutation to the node-space arrays (and the prototype's
+    // payload slots).
     std::vector<Key> keys(n);
     std::vector<std::uint32_t> pred_off(n + 1, 0);
     std::vector<TaskGraphNode*> perm_nodes(n);
@@ -462,21 +413,18 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
   f.pred_off = s.pred_off;
   f.pred_idx = s.pred_idx;
   f.instance_slab_bytes = proto->slab_.bytes_allocated();
-  f.fused_n = fused_n;
   f.passes = passes;
-  // Pass 3 — tiny-graph lowering: plans this small replay through the
+  // Pass 2 — tiny-graph lowering: plans this small replay through the
   // serial micro-interpreter on the submitting thread (see
   // PlanInstance::run_serial), skipping TaskGroup/spawn entirely.
   f.serial_lower = (passes & kPassTinyLower) != 0 && n < kTinyGraphMaxNodes;
-  f.unit_off = s.unit_off;
-  f.unit_nodes = s.unit_nodes;
   // Discovery keys nodes through a map, so no key can repeat.
   const bool derived = derive_frozen(f, &spec, s.derived);
   NABBITC_CHECK_MSG(derived, "discovery produced a duplicate key");
   f.backing = std::move(st);
   plan->f_ = std::move(f);
 
-  proto->join_ = std::make_unique<std::atomic<std::int32_t>[]>(fused_n);
+  proto->join_ = std::make_unique<std::atomic<std::int32_t>[]>(n);
   plan->adopt_prototype(std::move(proto), opts.reserve_instances);
   return plan;
 }
@@ -491,9 +439,7 @@ bool validate_frozen(const FrozenPlan& f) {
   if (f.pred_off[0] != 0) return false;
 
   // CSR offsets: monotone rows. A DAG has at least one zero-predecessor
-  // node, and such a node heads a zero-join unit (the chain check below
-  // gives every later member its one predecessor inside the unit), so this
-  // is what guarantees derive_frozen() a non-empty root set.
+  // node, and that is what guarantees derive_frozen() a non-empty root set.
   bool has_root = false;
   for (std::uint64_t i = 0; i < n; ++i) {
     if (f.pred_off[i + 1] < f.pred_off[i]) return false;
@@ -501,36 +447,9 @@ bool validate_frozen(const FrozenPlan& f) {
   }
   if (!has_root) return false;
   if (f.pred_idx.size() != f.pred_off[n]) return false;
-  std::vector<std::uint32_t> out_degree(n, 0);
   for (const std::uint32_t v : f.pred_idx) {
     if (v >= n) return false;
-    ++out_degree[v];
   }
-
-  // Fused units: unit_off must partition a permutation of the node set
-  // into non-empty runs, and every intra-unit consecutive pair must be a
-  // real fanout-1/fanin-1 edge — serial in-unit execution is only legal
-  // then.
-  const std::uint64_t fn = f.fused_n;
-  if (fn == 0 || fn > n) return false;
-  if (f.unit_off.size() != fn + 1 || f.unit_nodes.size() != n) return false;
-  if (f.unit_off[0] != 0 || f.unit_off[fn] != n) return false;
-  std::vector<std::uint8_t> placed(n, 0);
-  for (std::uint64_t u = 0; u < fn; ++u) {
-    if (f.unit_off[u + 1] <= f.unit_off[u]) return false;  // >= 1 node
-    for (std::uint32_t e = f.unit_off[u]; e < f.unit_off[u + 1]; ++e) {
-      const std::uint32_t v = f.unit_nodes[e];
-      if (v >= n || placed[v]) return false;
-      placed[v] = 1;
-      if (e > f.unit_off[u]) {
-        const std::uint32_t a = f.unit_nodes[e - 1];
-        if (f.pred_off[v + 1] - f.pred_off[v] != 1) return false;
-        if (f.pred_idx[f.pred_off[v]] != a) return false;
-        if (out_degree[a] != 1) return false;
-      }
-    }
-  }
-  // (n entries, all distinct, all < n ⇒ unit_nodes is a permutation.)
 
   // Serial lowering is only legal for tiny plans (the micro-interpreter
   // uses a fixed-size ready stack); refuse an artifact claiming otherwise.
@@ -543,7 +462,6 @@ bool validate_frozen(const FrozenPlan& f) {
 
 bool derive_frozen(FrozenPlan& f, const GraphSpec* spec, DerivedArrays& d) {
   const std::uint32_t n = f.n;
-  const std::uint32_t fused_n = f.fused_n;
 
   // Key lookup: open addressing, linear probing, load <= 0.5 (cap >= 2n is
   // what bounds probe scans and keeps an empty slot in reach of every
@@ -564,47 +482,13 @@ bool derive_frozen(FrozenPlan& f, const GraphSpec* spec, DerivedArrays& d) {
     d.slot_idx[h] = i;
   }
 
-  // Cross-unit schedule: per-unit join counts (with edge multiplicity) and
-  // the unit-level successor transpose, in canonical emission order (units
-  // in order, members in chain order, pred rows in declaration order).
-  std::vector<std::uint32_t> unit_of(n);
-  for (std::uint32_t u = 0; u < fused_n; ++u) {
-    for (std::uint32_t e = f.unit_off[u]; e < f.unit_off[u + 1]; ++e) {
-      unit_of[f.unit_nodes[e]] = u;
-    }
-  }
-  d.unit_join.assign(fused_n, 0);
-  d.unit_succ_off.assign(fused_n + 1, 0);
-  for (std::uint32_t u = 0; u < fused_n; ++u) {
-    for (std::uint32_t e = f.unit_off[u]; e < f.unit_off[u + 1]; ++e) {
-      const std::uint32_t v = f.unit_nodes[e];
-      for (std::uint32_t pe = f.pred_off[v]; pe < f.pred_off[v + 1]; ++pe) {
-        const std::uint32_t pu = unit_of[f.pred_idx[pe]];
-        if (pu == u) continue;
-        ++d.unit_join[u];
-        ++d.unit_succ_off[pu + 1];
-      }
-    }
-  }
-  for (std::uint32_t u = 0; u < fused_n; ++u) {
-    d.unit_succ_off[u + 1] += d.unit_succ_off[u];
-  }
-  d.unit_succ_idx.assign(d.unit_succ_off[fused_n], 0);
-  {
-    std::vector<std::uint32_t> cursor(d.unit_succ_off.begin(),
-                                      d.unit_succ_off.end() - 1);
-    for (std::uint32_t u = 0; u < fused_n; ++u) {
-      for (std::uint32_t e = f.unit_off[u]; e < f.unit_off[u + 1]; ++e) {
-        const std::uint32_t v = f.unit_nodes[e];
-        for (std::uint32_t pe = f.pred_off[v]; pe < f.pred_off[v + 1]; ++pe) {
-          const std::uint32_t pu = unit_of[f.pred_idx[pe]];
-          if (pu != u) d.unit_succ_idx[cursor[pu]++] = u;
-        }
-      }
-    }
-  }
-  for (std::uint32_t u = 0; u < fused_n; ++u) {
-    if (d.unit_join[u] == 0) d.unit_roots.push_back(u);
+  // Schedule: per-node join counts (predecessor edges, with multiplicity),
+  // the successor transpose, and the zero-join roots.
+  build_successors(n, f.pred_off, f.pred_idx, d.succ_off, d.succ_idx);
+  d.join.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    d.join[i] = static_cast<std::int32_t>(f.pred_off[i + 1] - f.pred_off[i]);
+    if (d.join[i] == 0) d.roots.push_back(i);
   }
 
   // Colors come from the spec that will run the plan, never from the
@@ -617,10 +501,6 @@ bool derive_frozen(FrozenPlan& f, const GraphSpec* spec, DerivedArrays& d) {
       d.colors[i] = spec->color_of(f.keys[i]);
       d.data_colors[i] = spec->data_color_of(f.keys[i]);
     }
-    d.unit_colors.resize(fused_n);
-    for (std::uint32_t u = 0; u < fused_n; ++u) {
-      d.unit_colors[u] = d.colors[f.unit_nodes[f.unit_off[u]]];
-    }
   }
 
   f.colors = d.colors;
@@ -628,11 +508,10 @@ bool derive_frozen(FrozenPlan& f, const GraphSpec* spec, DerivedArrays& d) {
   f.slot_key = d.slot_key;
   f.slot_idx = d.slot_idx;
   f.slot_mask = mask;
-  f.unit_join = d.unit_join;
-  f.unit_succ_off = d.unit_succ_off;
-  f.unit_succ_idx = d.unit_succ_idx;
-  f.unit_roots = d.unit_roots;
-  f.unit_colors = d.unit_colors;
+  f.join = d.join;
+  f.succ_off = d.succ_off;
+  f.succ_idx = d.succ_idx;
+  f.roots = d.roots;
   return true;
 }
 

@@ -9,8 +9,8 @@
 // plan::compile() walks the spec once from the sink (without computing
 // anything) and lowers it into an immutable GraphPlan:
 //
-//   * topology frozen into CSR predecessor index arrays, plus the fused-unit
-//     schedule the replay dispatches;
+//   * topology frozen into CSR predecessor index arrays, plus the node
+//     successor transpose and join counts the replay dispatches over;
 //   * per-node scheduling colors and true data colors (the NabbitC locality
 //     hints) precomputed;
 //   * the key -> node-index lookup frozen into an open-addressed table;
@@ -72,20 +72,16 @@ using nabbit::TaskGraphNode;
 // each is individually disableable through CompileOptions::passes, which is
 // what the per-pass fuzz matrix exercises).
 
-/// Chain fusion: collapse fanout-1/fanin-1 runs into one schedulable unit
-/// that computes the whole run serially — the join/dispatch cost is paid
-/// once per chain instead of once per node.
-inline constexpr std::uint32_t kPassChainFusion = 1u << 0;
 /// Level-ordered layout: renumber plan indices by topological level (ties
-/// broken by color, then discovery order) so a unit's successors share
-/// cache lines at notify time. The sink stays index 0 regardless.
+/// broken by color, then discovery order) so a node's successors share
+/// cache lines at notify time. The sink stays index 0 regardless. Bit 0 is
+/// retired, so a persisted pass mask that sets it is refused on load.
 inline constexpr std::uint32_t kPassLevelOrder = 1u << 1;
 /// Tiny-graph lowering: plans with fewer than kTinyGraphMaxNodes nodes
 /// replay through a serial micro-interpreter on the submitting thread,
 /// skipping TaskGroup/spawn machinery entirely.
 inline constexpr std::uint32_t kPassTinyLower = 1u << 2;
-inline constexpr std::uint32_t kPassAll =
-    kPassChainFusion | kPassLevelOrder | kPassTinyLower;
+inline constexpr std::uint32_t kPassAll = kPassLevelOrder | kPassTinyLower;
 
 /// Node-count bound under which kPassTinyLower marks a plan for serial
 /// replay. Also the hard cap validate_frozen enforces on serial-lowered
@@ -111,7 +107,7 @@ class GraphPlan;
 
 /// The immutable POD guts of a compiled plan, exposed as read-only views
 /// plus the type-erased storage that keeps them alive. The first group is
-/// what compile() DECIDED (discovery, the fusion partition, the layout) —
+/// what compile() DECIDED (discovery, the passes, the layout) —
 /// exactly what a PlanBlob persists (src/persist/), so on load those views
 /// point straight into the mapped file. The second group is DERIVED from
 /// the first (and the spec) by derive_frozen(), which compile() and
@@ -125,16 +121,8 @@ struct FrozenPlan {
   std::span<const std::uint32_t> pred_idx;
   /// Payload bytes one instance's nodes need (measured on the prototype).
   std::uint64_t instance_slab_bytes = 0;
-  // Fused units (the chain-fusion pass's output; with fusion disabled every
-  // unit is a singleton). The scheduler dispatches UNITS: a unit's nodes
-  // run serially in unit_nodes order, and the per-replay join counters are
-  // per unit. The per-node arrays stay authoritative for lookups,
-  // validation, and the dependence asserts.
-  std::uint32_t fused_n = 0;                     // units; 1 <= fused_n <= n
-  std::uint32_t passes = 0;                      // kPass* mask applied
-  bool serial_lower = false;                     // tiny-graph serial replay
-  std::span<const std::uint32_t> unit_off;       // CSR rows into unit_nodes,
-  std::span<const std::uint32_t> unit_nodes;     //   size fused_n+1 / n
+  std::uint32_t passes = 0;                   // kPass* mask applied
+  bool serial_lower = false;                  // tiny-graph serial replay
 
   // --- derived by derive_frozen().
   std::span<const numa::Color> colors;        // scheduling colors
@@ -142,11 +130,10 @@ struct FrozenPlan {
   std::span<const Key> slot_key;               // open-addressed key table
   std::span<const std::uint32_t> slot_idx;     //   (power-of-two, load <= .5)
   std::uint64_t slot_mask = 0;
-  std::span<const std::int32_t> unit_join;       // cross-unit in-edge counts
-  std::span<const std::uint32_t> unit_succ_off;  // cross-unit transpose rows
-  std::span<const std::uint32_t> unit_succ_idx;
-  std::span<const std::uint32_t> unit_roots;     // zero-join units, ascending
-  std::span<const numa::Color> unit_colors;      // entry-node colors
+  std::span<const std::int32_t> join;         // in-edge counts, multiplicity
+  std::span<const std::uint32_t> succ_off;    // successor transpose rows
+  std::span<const std::uint32_t> succ_idx;
+  std::span<const std::uint32_t> roots;       // zero-join nodes, ascending
   /// Keeps whatever the views point into alive — owned vectors, or a
   /// mapped blob plus the derived arrays. plan/ never looks inside; only
   /// destruction order matters.
@@ -159,29 +146,26 @@ struct DerivedArrays {
   std::vector<numa::Color> data_colors;
   std::vector<Key> slot_key;
   std::vector<std::uint32_t> slot_idx;
-  std::vector<std::int32_t> unit_join;
-  std::vector<std::uint32_t> unit_succ_off;
-  std::vector<std::uint32_t> unit_succ_idx;
-  std::vector<std::uint32_t> unit_roots;
-  std::vector<numa::Color> unit_colors;
+  std::vector<std::int32_t> join;
+  std::vector<std::uint32_t> succ_off;
+  std::vector<std::uint32_t> succ_idx;
+  std::vector<std::uint32_t> roots;
 };
 
 /// Structural validation of UNTRUSTED persisted arrays (the blob-load
 /// path): consistent span sizes, monotone CSR offsets, in-range indices, at
-/// least one zero-predecessor node, a unit partition that is a permutation
-/// of the nodes into non-empty runs whose every consecutive pair is a
-/// fanout-1/fanin-1 edge, serial lowering only under kTinyGraphMaxNodes.
+/// least one zero-predecessor node, serial lowering only under
+/// kTinyGraphMaxNodes.
 /// Reads only the persisted group of `f`. Returns false instead of
 /// aborting; derive_frozen() and restore() require it to have passed.
 bool validate_frozen(const FrozenPlan& f);
 
 /// Builds the derived group of `f` from its persisted group, into `d`,
-/// and points f's derived views at it: the key table, the cross-unit
-/// schedule (join counts with edge multiplicity, the unit successor
-/// transpose, the ascending zero-join roots) and, when `spec` is non-null,
-/// the scheduling/data colors from spec->color_of/data_color_of and each
-/// unit's entry-node color. With a null spec (offline inspection) the color
-/// views stay empty. Returns false — leaving `f` unusable — when two nodes
+/// and points f's derived views at it: the key table, the schedule (join
+/// counts with edge multiplicity, the successor transpose, the ascending
+/// zero-join roots) and, when `spec` is non-null, the scheduling/data colors
+/// from spec->color_of/data_color_of. With a null spec (offline inspection)
+/// the color views stay empty. Returns false — leaving `f` unusable — when two nodes
 /// share a key. The one derivation compile() and restore() share.
 bool derive_frozen(FrozenPlan& f, const GraphSpec* spec, DerivedArrays& d);
 
@@ -251,14 +235,14 @@ class PlanInstance final : public nabbit::NodeLookup {
 
   // --- replay protocol (replay.cpp) ---------------------------------------
   void run_root(rt::Worker& w);
-  void compute_and_notify(rt::Worker& w, std::uint32_t unit);
+  void compute_and_notify(rt::Worker& w, std::uint32_t index);
   void spawn_indices(rt::Worker& w, rt::TaskGroup& g, std::uint32_t* indices,
                      std::size_t n);
-  /// Runs one fused unit's nodes serially (per-node cancel poll, locality
-  /// when `w` is non-null). Shared by the parallel and serial paths.
-  void execute_unit(rt::Worker* w, std::uint32_t unit);
+  /// Computes (or, under cancellation, skips) one node, counting locality
+  /// when `w` is non-null. Shared by the parallel and serial paths.
+  void execute_node(rt::Worker* w, std::uint32_t index);
   /// The tiny-graph micro-interpreter: drives the whole replay on the
-  /// calling thread over the unit join counters. `w` may be null (inline
+  /// calling thread over the join counters. `w` may be null (inline
   /// submission) — locality counting is skipped then.
   void run_serial(rt::Worker* w);
 
@@ -290,10 +274,6 @@ class GraphPlan {
   GraphPlan& operator=(const GraphPlan&) = delete;
 
   std::uint32_t num_nodes() const noexcept { return f_.n; }
-  /// Schedulable units after chain fusion (== num_nodes() when the fusion
-  /// pass was disabled or found nothing to fuse) — the per-plan
-  /// introspection surface for "nodes before/after fusion".
-  std::uint32_t num_fused_nodes() const noexcept { return f_.fused_n; }
   /// kPass* mask the compiler actually applied to this plan.
   std::uint32_t passes() const noexcept { return f_.passes; }
   /// True when replays run through the tiny-graph serial micro-interpreter

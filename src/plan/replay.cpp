@@ -9,11 +9,10 @@
 // faithful to the paper; only the discovery machinery is gone. Every
 // allocation on this path comes from the executing worker's frame arena.
 //
-// The dispatch granularity is the fused UNIT (see plan.h): chain fusion
-// collapses fanout-1/fanin-1 runs into one unit whose member nodes execute
-// serially in execute_unit(), so the join/spawn cost is paid once per run.
-// Tiny plans (serial_lower) skip the scheduler entirely and replay through
-// run_serial()'s micro-interpreter on the submitting thread.
+// The dispatch granularity is the node: a node's last-arriving predecessor
+// spawns it, and execute_node() computes it. Tiny plans (serial_lower) skip
+// the scheduler entirely and replay through run_serial()'s
+// micro-interpreter on the submitting thread.
 #include "api/metrics.h"
 #include "nabbit/spawn_halved.h"
 #include "nabbitc/spawn_colors.h"
@@ -23,21 +22,21 @@
 
 namespace nabbitc::plan {
 
-/// Leaf action for both spawn shapes (colored and halved): one fused unit.
+/// Leaf action for both spawn shapes (colored and halved): one node.
 struct PlanComputeLeaf {
   PlanInstance* inst;
-  void operator()(rt::Worker& w, std::uint32_t unit) const {
-    inst->compute_and_notify(w, unit);
+  void operator()(rt::Worker& w, std::uint32_t index) const {
+    inst->compute_and_notify(w, index);
   }
 };
 
 namespace {
 
 /// Item -> color projection for spawn_colored, over the plan's frozen
-/// unit-color array (a unit lands where its entry node's data lives).
+/// scheduling colors.
 struct PlanColorOf {
   const numa::Color* colors;
-  numa::Color operator()(std::uint32_t unit) const { return colors[unit]; }
+  numa::Color operator()(std::uint32_t index) const { return colors[index]; }
 };
 
 }  // namespace
@@ -48,7 +47,7 @@ void PlanInstance::spawn_indices(rt::Worker& w, rt::TaskGroup& g,
   const GraphPlan& p = *plan_;
   if (p.colored()) {
     nabbit::spawn_colored(w, g, indices, n,
-                          PlanColorOf{p.frozen().unit_colors.data()},
+                          PlanColorOf{p.frozen().colors.data()},
                           PlanComputeLeaf{this});
     return;
   }
@@ -64,7 +63,7 @@ void PlanInstance::run_root(rt::Worker& w) {
     // compute() still sees a real ExecContext worker.
     run_serial(&w);
   } else {
-    const auto roots = f.unit_roots;
+    const auto roots = f.roots;
     rt::TaskGroup group;
     if (p.colored()) {
       // The colored spawn sorts its item array in place; the plan's own
@@ -91,73 +90,57 @@ void PlanInstance::run_root(rt::Worker& w) {
       "in flight, or graph mutated since compile");
 }
 
-void PlanInstance::execute_unit(rt::Worker* w, std::uint32_t unit) {
+void PlanInstance::execute_node(rt::Worker* w, std::uint32_t index) {
   const GraphPlan& p = *plan_;
-  const FrozenPlan& f = p.frozen();
-  nabbit::ExecContext ctx(w, *this);
-  std::uint32_t n_computed = 0;
-  std::uint32_t n_skipped = 0;
-  for (std::uint32_t e = f.unit_off[unit]; e < f.unit_off[unit + 1]; ++e) {
-    const std::uint32_t index = f.unit_nodes[e];
-    TaskGraphNode* u = nodes_[index];
-    // One cancellation check per node (the embedded RootJob's cancel word;
-    // no clock) — fused units stay as responsive as singleton dispatch.
-    // Skipped nodes never run compute() and keep status kVisited, but the
-    // unit still notifies successors so the replay drains.
-    const bool skip = state_.job.cancel_requested();
+  // One cancellation check per node (the embedded RootJob's cancel word; no
+  // clock). A skipped node never runs compute() and keeps status kVisited,
+  // but its caller still notifies successors so the replay drains.
+  if (state_.job.cancel_requested()) {
+    skipped_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
 #ifndef NDEBUG
-    // Protocol invariant: a node computes only after all predecessors have.
-    // A skipped predecessor implies cancellation was visible before our own
-    // check above, so a non-skipped node cannot observe one.
-    if (!skip) {
-      for (const std::uint32_t pi : p.predecessors(index)) {
-        NABBITC_CHECK_MSG(nodes_[pi]->computed(),
-                          "dependence violation: plan node computed before "
-                          "predecessor");
-      }
-    }
+  // Protocol invariant: a node computes only after all predecessors have.
+  // A skipped predecessor implies cancellation was visible before our own
+  // check above, so a non-skipped node cannot observe one.
+  for (const std::uint32_t pi : p.predecessors(index)) {
+    NABBITC_CHECK_MSG(nodes_[pi]->computed(),
+                      "dependence violation: plan node computed before "
+                      "predecessor");
+  }
 #endif
-    if (skip) {
-      ++n_skipped;
-      continue;
+  if (w != nullptr) {
+    // Counted against true data placement, exactly like the dynamic path
+    // (see DynamicExecutor::compute_and_notify) — but the colors come from
+    // the plan's frozen arrays, not spec virtual calls.
+    const auto preds = p.predecessors(index);
+    std::uint64_t remote_preds = 0;
+    for (const std::uint32_t pi : preds) {
+      if (!w->color_is_local(p.data_color_of(pi))) ++remote_preds;
     }
-    if (w != nullptr) {
-      // Counted against true data placement, exactly like the dynamic path
-      // (see DynamicExecutor::compute_and_notify) — but the colors come from
-      // the plan's frozen arrays, not spec virtual calls.
-      const auto preds = p.predecessors(index);
-      std::uint64_t remote_preds = 0;
-      for (const std::uint32_t pi : preds) {
-        if (!w->color_is_local(p.data_color_of(pi))) ++remote_preds;
-      }
-      w->record_node_execution(p.data_color_of(index), preds.size(),
-                               remote_preds);
-    }
-    u->compute(ctx);
-    u->status_.store(nabbit::NodeStatus::kComputed, std::memory_order_release);
-    ++n_computed;
+    w->record_node_execution(p.data_color_of(index), preds.size(),
+                             remote_preds);
   }
-  if (n_computed != 0) {
-    computed_.fetch_add(n_computed, std::memory_order_relaxed);
-  }
-  if (n_skipped != 0) {
-    skipped_.fetch_add(n_skipped, std::memory_order_relaxed);
-  }
+  TaskGraphNode* u = nodes_[index];
+  nabbit::ExecContext ctx(w, *this);
+  u->compute(ctx);
+  u->status_.store(nabbit::NodeStatus::kComputed, std::memory_order_release);
+  computed_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void PlanInstance::compute_and_notify(rt::Worker& w, std::uint32_t unit) {
-  execute_unit(&w, unit);
-  // Notify successor units: the CSR row replaces the successor list — every
+void PlanInstance::compute_and_notify(rt::Worker& w, std::uint32_t index) {
+  execute_node(&w, index);
+  // Notify successors: the CSR row replaces the successor list — every
   // dependent is known up front, so the last-arriving predecessor (the
   // fetch_sub observing 1) spawns the successor.
   const FrozenPlan& f = plan_->frozen();
-  const std::uint32_t sb = f.unit_succ_off[unit];
-  const std::uint32_t se = f.unit_succ_off[unit + 1];
+  const std::uint32_t sb = f.succ_off[index];
+  const std::uint32_t se = f.succ_off[index + 1];
   if (sb == se) return;
   auto* ready = w.arena().create_array<std::uint32_t>(se - sb);
   std::size_t nready = 0;
   for (std::uint32_t e = sb; e < se; ++e) {
-    const std::uint32_t s = f.unit_succ_idx[e];
+    const std::uint32_t s = f.succ_idx[e];
     if (join_[s].fetch_sub(1, std::memory_order_acq_rel) == 1) {
       ready[nready++] = s;
     }
@@ -173,16 +156,15 @@ void PlanInstance::run_serial(rt::Worker* w) {
   // decrements (single thread — the counters only keep the bookkeeping
   // identical to the concurrent path), no TaskGroup, no arena traffic.
   const FrozenPlan& f = plan_->frozen();
-  NABBITC_DCHECK(f.fused_n <= kTinyGraphMaxNodes);
+  NABBITC_DCHECK(f.n <= kTinyGraphMaxNodes);
   std::uint32_t ready[kTinyGraphMaxNodes];
   std::uint32_t top = 0;
-  for (const std::uint32_t u : f.unit_roots) ready[top++] = u;
+  for (const std::uint32_t r : f.roots) ready[top++] = r;
   while (top != 0) {
-    const std::uint32_t u = ready[--top];
-    execute_unit(w, u);
-    for (std::uint32_t e = f.unit_succ_off[u]; e < f.unit_succ_off[u + 1];
-         ++e) {
-      const std::uint32_t s = f.unit_succ_idx[e];
+    const std::uint32_t i = ready[--top];
+    execute_node(w, i);
+    for (std::uint32_t e = f.succ_off[i]; e < f.succ_off[i + 1]; ++e) {
+      const std::uint32_t s = f.succ_idx[e];
       if (join_[s].fetch_sub(1, std::memory_order_relaxed) == 1) {
         ready[top++] = s;
       }

@@ -538,7 +538,7 @@ TEST(SubmissionControl, WaitForTimesOutThenCancelDrainsQueuedReplay) {
   // Tiny lowering disabled: this test is about a replay QUEUED behind a
   // blocker — an inline serial replay never enters the scheduler queue.
   auto plan = rt.compile(one, 0, 1,
-                         plan::kPassChainFusion | plan::kPassLevelOrder);
+                         plan::kPassAll & ~plan::kPassTinyLower);
 
   Execution b = rt.submit(blocker, 1);
   Backoff backoff;

@@ -246,23 +246,15 @@ TEST_P(FuzzDag8, AllVariantsBitwiseEqualAndCancelInvariantsHold) {
   // --- per-pass matrix: every seed also runs with each optimization pass
   // individually disabled, proving checksum equality is per-pass, not just
   // end-to-end. (Tiny lowering is inert at 48+ nodes but included so the
-  // mask plumbing itself is covered; with fusion off every unit must be a
-  // singleton.)
+  // mask plumbing itself is covered.)
   for (api::Runtime* rt : {&nb, &nc}) {
-    for (const std::uint32_t off : {plan::kPassChainFusion,
-                                    plan::kPassLevelOrder,
-                                    plan::kPassTinyLower}) {
+    for (const std::uint32_t off :
+         {plan::kPassLevelOrder, plan::kPassTinyLower}) {
       const std::uint32_t mask = plan::kPassAll & ~off;
       SCOPED_TRACE("passes=0x" + std::to_string(mask));
       auto plan = rt->compile(spec, dag.sink(), /*reserve_instances=*/1, mask);
       EXPECT_EQ(plan->passes(), mask);
       EXPECT_FALSE(plan->serial_lowered());
-      if (off == plan::kPassChainFusion) {
-        EXPECT_EQ(plan->num_fused_nodes(), dag.n)
-            << "fusion disabled but units are not singletons";
-      } else {
-        EXPECT_LE(plan->num_fused_nodes(), dag.n);
-      }
       for (int round = 0; round < 2; ++round) {
         dag.clear();
         Execution e = rt->run(*plan);
@@ -270,7 +262,7 @@ TEST_P(FuzzDag8, AllVariantsBitwiseEqualAndCancelInvariantsHold) {
         EXPECT_EQ(dag.checksum(), expected)
             << "pass-disabled replay diverged, round " << round;
       }
-      // Blob round-trip must preserve the pass-reduced schedule bitwise too.
+      // Blob round-trip must preserve the pass-reduced layout bitwise too.
       const auto blob = persist::serialize_plan(*plan, /*spec_bytes=*/{},
                                                 /*spec_hash=*/seed | 1);
       auto backing = std::make_shared<std::vector<std::uint8_t>>(blob);
@@ -281,7 +273,7 @@ TEST_P(FuzzDag8, AllVariantsBitwiseEqualAndCancelInvariantsHold) {
                                        view.colored());
       ASSERT_NE(restored, nullptr);
       EXPECT_EQ(restored->passes(), mask);
-      EXPECT_EQ(restored->num_fused_nodes(), plan->num_fused_nodes());
+      EXPECT_EQ(restored->num_nodes(), plan->num_nodes());
       dag.clear();
       Execution e = rt->run(*restored);
       EXPECT_EQ(e.nodes_computed(), dag.n);
@@ -420,7 +412,6 @@ TEST_P(FuzzTiny8, SerialLoweredInlineReplayMatchesSerialReference) {
     auto plan = rt->compile(spec, dag.sink());
     ASSERT_TRUE(plan->serial_lowered())
         << "tiny plan (" << dag.n << " nodes) was not lowered";
-    EXPECT_LE(plan->num_fused_nodes(), plan->num_nodes());
 
     for (int round = 0; round < 3; ++round) {
       dag.clear();

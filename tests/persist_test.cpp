@@ -9,7 +9,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -130,14 +129,11 @@ TEST(PlanBlob, RoundTripBitwise) {
   const plan::FrozenPlan b = p.view.frozen(p.bytes);
   EXPECT_EQ(a.n, b.n);
   EXPECT_EQ(a.instance_slab_bytes, b.instance_slab_bytes);
-  EXPECT_EQ(a.fused_n, b.fused_n);
   EXPECT_EQ(a.passes, b.passes);
   EXPECT_EQ(a.serial_lower, b.serial_lower);
   expect_span_eq(a.keys, b.keys, "keys");
   expect_span_eq(a.pred_off, b.pred_off, "pred_off");
   expect_span_eq(a.pred_idx, b.pred_idx, "pred_idx");
-  expect_span_eq(a.unit_off, b.unit_off, "unit_off");
-  expect_span_eq(a.unit_nodes, b.unit_nodes, "unit_nodes");
 
   // Serialization is deterministic: same plan, same bytes (padding zeroed).
   const auto again = serialize_plan(*c.plan, {c.canon.data(), c.canon.size()},
@@ -180,11 +176,10 @@ TEST(PlanBlob, RestoredPlanReplaysIdentically) {
   expect_span_eq(a.data_colors, b.data_colors, "data_colors");
   expect_span_eq(a.slot_key, b.slot_key, "slot_key");
   expect_span_eq(a.slot_idx, b.slot_idx, "slot_idx");
-  expect_span_eq(a.unit_join, b.unit_join, "unit_join");
-  expect_span_eq(a.unit_succ_off, b.unit_succ_off, "unit_succ_off");
-  expect_span_eq(a.unit_succ_idx, b.unit_succ_idx, "unit_succ_idx");
-  expect_span_eq(a.unit_roots, b.unit_roots, "unit_roots");
-  expect_span_eq(a.unit_colors, b.unit_colors, "unit_colors");
+  expect_span_eq(a.join, b.join, "join");
+  expect_span_eq(a.succ_off, b.succ_off, "succ_off");
+  expect_span_eq(a.succ_idx, b.succ_idx, "succ_idx");
+  expect_span_eq(a.roots, b.roots, "roots");
 
   // And it replays: every node computes, repeatedly, on pooled instances.
   for (int round = 0; round < 3; ++round) {
@@ -245,6 +240,9 @@ TEST(PlanBlob, DistinctErrorsForEachRefusal) {
             BlobError::kBadAbi);
   EXPECT_EQ(doctored([](PlanBlobHeader& h) { h.flags |= 0x80; }),
             BlobError::kBadLayout);
+  // Bit 0 of the pass mask belonged to the removed chain-fusion pass.
+  EXPECT_EQ(doctored([](PlanBlobHeader& h) { h.passes |= 1u; }),
+            BlobError::kBadLayout);
   EXPECT_EQ(doctored([](PlanBlobHeader& h) { h.section_off[0] += 8; }),
             BlobError::kBadLayout);
 
@@ -277,23 +275,6 @@ TEST(PlanBlob, DistinctErrorsForEachRefusal) {
     auto bad = doctored_body([&](std::uint8_t* b, const PlanBlobHeader& h) {
       const std::uint32_t past_end = c.plan->num_nodes();
       std::memcpy(b + h.section_off[kSecPredIdx], &past_end, sizeof(past_end));
-    });
-    PlanBlobView view;
-    EXPECT_EQ(view.parse({bad.data(), bad.size()}), BlobError::kBadStructure);
-  }
-  // A fused unit whose consecutive members are not a fanout-1/fanin-1 edge
-  // would run a node before its predecessor: swap a chain's first two
-  // members.
-  {
-    const plan::FrozenPlan& f = c.plan->frozen();
-    std::uint32_t u = 0;
-    while (u < f.fused_n && f.unit_off[u + 1] - f.unit_off[u] < 2) ++u;
-    ASSERT_LT(u, f.fused_n) << "graph fused no chain";
-    auto bad = doctored_body([&](std::uint8_t* b, const PlanBlobHeader& h) {
-      std::uint8_t* first = b + h.section_off[kSecUnitNodes] +
-                            f.unit_off[u] * sizeof(std::uint32_t);
-      std::swap_ranges(first, first + sizeof(std::uint32_t),
-                       first + sizeof(std::uint32_t));
     });
     PlanBlobView view;
     EXPECT_EQ(view.parse({bad.data(), bad.size()}), BlobError::kBadStructure);
@@ -532,19 +513,20 @@ TEST(PlanCache, RejectsCorruptFileAndRecovers) {
   remove_dir_recursive(dir);
 }
 
-// Every older artifact (v1 predates the fused-unit sections, v2 stored the
-// derived arrays, v3 carried a count-locality flag) must be refused with the
-// DISTINCT kBadVersion error — not a generic corruption refusal — and the
-// cache upgrade path must transparently recompile over it. v3 is the sharp
-// case: its count-locality bit (1u << 1, set in every blob a runtime wrote)
-// is the bit v4 gives kPlanBlobFlagSerialLowered, so only the version gate
+// Every older artifact (v1 predates the optimization passes, v2 stored the
+// derived arrays, v3 carried a count-locality flag, v4 carried the fused-unit
+// partition) must be refused with the DISTINCT kBadVersion error — not a
+// generic corruption refusal — and the cache upgrade path must
+// transparently recompile over it. v3 is the sharp case: its count-locality
+// bit (1u << 1, set in every blob a runtime wrote) is the bit v4 gave
+// kPlanBlobFlagSerialLowered, so only the version gate
 // stops a v3 blob being misread. The stamp sits at the same offset in every
 // layout and the gate fires on it alone, so a doctored stamp exercises
 // exactly the path a real old file takes.
 TEST(PlanCache, StaleVersionBlobRejectedAndRecompiled) {
   auto rt = make_runtime(Variant::kNabbitC);
   CompiledBlob c = compile_blob(rt, 0x51a1e, 64);
-  ASSERT_EQ(kPlanBlobVersion, 4u) << "add the new stale version's flags here";
+  ASSERT_EQ(kPlanBlobVersion, 5u) << "add the new stale version's flags here";
   const std::string dir = make_temp_dir();
 
   for (std::uint32_t version = 1; version < kPlanBlobVersion; ++version) {

@@ -308,9 +308,9 @@ TEST(PlanCompile, ReserveInstancesPreBuildsPool) {
 
 // ------------------------------------------------------ optimization passes
 
-/// Pure pipeline: node k depends only on k-1 — the maximal chain-fusion
-/// workload (the whole graph is one fanout-1/fanin-1 run). Commutative
-/// accumulate, so the total is exactly checkable regardless of schedule.
+/// Pure pipeline: node k depends only on k-1 (the whole graph is one
+/// fanout-1/fanin-1 run). Commutative accumulate, so the total is exactly
+/// checkable regardless of schedule.
 struct ChainNode final : TaskGraphNode {
   std::atomic<std::uint64_t>* acc;
   explicit ChainNode(std::atomic<std::uint64_t>* a) : acc(a) {}
@@ -340,36 +340,29 @@ struct ChainSpec final : GraphSpec {
   }
 };
 
-TEST(PlanPasses, ChainFusionCollapsesPipelineIntoOneUnit) {
+TEST(PlanPasses, PipelineReplaysExactlyWithAndWithoutLevelOrder) {
   auto rt = make_runtime(Variant::kNabbitC);
   std::atomic<std::uint64_t> acc{0};
   ChainSpec spec(&acc, 64);  // above the tiny-lowering bound
   const std::uint64_t want = spec.expected_total();
 
-  auto fused = rt.compile(spec, /*sink=*/63);
-  EXPECT_EQ(fused->num_nodes(), 64u);
-  EXPECT_EQ(fused->passes(), plan::kPassAll);
-  EXPECT_FALSE(fused->serial_lowered());
-  // A pure pipeline is ONE maximal chain: all 64 nodes fuse into a single
-  // scheduling unit (the per-node arrays stay authoritative for lookups).
-  EXPECT_EQ(fused->num_fused_nodes(), 1u);
-  EXPECT_EQ(fused->index_of(63), 0u) << "sink must keep plan index 0";
-
-  acc.store(0, std::memory_order_relaxed);
-  Execution e = rt.run(*fused);
-  EXPECT_EQ(e.nodes_computed(), 64u);
-  EXPECT_EQ(acc.load(std::memory_order_relaxed), want);
-
-  // Fusion disabled via the pass mask: every unit is a singleton and the
-  // replay is still exact.
-  auto unfused = rt.compile(spec, 63, /*reserve_instances=*/1,
-                            plan::kPassAll & ~plan::kPassChainFusion);
-  EXPECT_EQ(unfused->passes(), plan::kPassAll & ~plan::kPassChainFusion);
-  EXPECT_EQ(unfused->num_fused_nodes(), 64u);
-  acc.store(0, std::memory_order_relaxed);
-  Execution e2 = rt.run(*unfused);
-  EXPECT_EQ(e2.nodes_computed(), 64u);
-  EXPECT_EQ(acc.load(std::memory_order_relaxed), want);
+  // One node per level: the level-ordered layout and discovery order both
+  // give a 64-deep dependence chain, dispatched one node at a time.
+  for (const std::uint32_t passes :
+       {plan::kPassAll, plan::kPassAll & ~plan::kPassLevelOrder}) {
+    SCOPED_TRACE(passes);
+    auto p = rt.compile(spec, /*sink=*/63, /*reserve_instances=*/1, passes);
+    EXPECT_EQ(p->num_nodes(), 64u);
+    EXPECT_EQ(p->passes(), passes);
+    EXPECT_FALSE(p->serial_lowered());
+    EXPECT_EQ(p->index_of(63), 0u) << "sink must keep plan index 0";
+    for (int round = 0; round < 2; ++round) {
+      acc.store(0, std::memory_order_relaxed);
+      Execution e = rt.run(*p);
+      EXPECT_EQ(e.nodes_computed(), 64u);
+      EXPECT_EQ(acc.load(std::memory_order_relaxed), want);
+    }
+  }
 }
 
 TEST(PlanPasses, TinyGraphLoweringTracksSizeBoundAndMask) {

@@ -297,7 +297,7 @@ TEST(Collector, CancelledRootEmitsCancelEventMatchingCounters) {
   // cancel accounting (worker counters + kCancel trace events), which an
   // inline serial replay never reaches by design.
   auto plan = rt.compile(spec, 0, 1,
-                         plan::kPassChainFusion | plan::kPassLevelOrder);
+                         plan::kPassAll & ~plan::kPassTinyLower);
 
   {
     api::Execution e = rt.submit(*plan);

@@ -11,7 +11,7 @@
 //
 //   nabbitc-planc validate FILE...   parse each blob, print verdicts
 //   nabbitc-planc info FILE...       validate + header/graph summary
-//   nabbitc-planc dump FILE          info + per-node topology + unit schedule
+//   nabbitc-planc dump FILE          info + per-node topology + schedule
 //   nabbitc-planc ls DIR             validate every plan-*.nbpb in a cache dir
 //
 // Exit status: 0 = every inspected blob parsed clean, 1 = at least one was
@@ -84,10 +84,7 @@ void print_info(const persist::PlanBlobView& view, const plan::FrozenPlan& f) {
   std::printf("  nodes=%u edges=%u sink_key=%" PRIu64 " slab_bytes=%" PRIu64
               "\n",
               h.n, h.n_edges, h.sink_key, h.instance_slab_bytes);
-  std::printf("  units=%u (fused %u nodes into chains) unit_edges=%zu "
-              "unit_roots=%zu passes=0x%x\n",
-              h.fused_n, h.n - h.fused_n, f.unit_succ_idx.size(),
-              f.unit_roots.size(), h.passes);
+  std::printf("  roots=%zu passes=0x%x\n", f.roots.size(), h.passes);
   const auto spec = view.spec_bytes();
   if (spec.empty()) {
     std::printf("  spec: (none — generic blob, functions not re-bindable)\n");
@@ -109,22 +106,14 @@ void print_info(const persist::PlanBlobView& view, const plan::FrozenPlan& f) {
 
 void print_dump(const plan::FrozenPlan& f) {
   for (std::uint32_t i = 0; i < f.n; ++i) {
-    std::printf("  node %u: key=%" PRIu64 " preds=[", i, f.keys[i]);
+    std::printf("  node %u: key=%" PRIu64 " join=%d preds=[", i, f.keys[i],
+                f.join[i]);
     for (std::uint32_t e = f.pred_off[i]; e < f.pred_off[i + 1]; ++e) {
       std::printf("%s%u", e == f.pred_off[i] ? "" : " ", f.pred_idx[e]);
     }
-    std::printf("]\n");
-  }
-  for (std::uint32_t u = 0; u < f.fused_n; ++u) {
-    std::printf("  unit %u: join=%d nodes=[", u, f.unit_join[u]);
-    for (std::uint32_t e = f.unit_off[u]; e < f.unit_off[u + 1]; ++e) {
-      std::printf("%s%u", e == f.unit_off[u] ? "" : " ", f.unit_nodes[e]);
-    }
     std::printf("] succs=[");
-    for (std::uint32_t e = f.unit_succ_off[u]; e < f.unit_succ_off[u + 1];
-         ++e) {
-      std::printf("%s%u", e == f.unit_succ_off[u] ? "" : " ",
-                  f.unit_succ_idx[e]);
+    for (std::uint32_t e = f.succ_off[i]; e < f.succ_off[i + 1]; ++e) {
+      std::printf("%s%u", e == f.succ_off[i] ? "" : " ", f.succ_idx[e]);
     }
     std::printf("]\n");
   }
