@@ -16,10 +16,10 @@ using api::Variant;
 
 namespace {
 
-sim::SimResult run_with(const wl::Workload& w, std::uint32_t p,
+sim::SimResult run_with(wl::Workload& w, std::uint32_t p,
                         rt::StealPolicy pol, double remote_factor,
                         std::uint64_t seed) {
-  sim::TaskDag dag = w.build_dag(p, nabbit::ColoringMode::kGood);
+  sim::TaskDag dag = wl::simulated_dag(w, p, nabbit::ColoringMode::kGood);
   sim::SimConfig cfg;
   cfg.num_workers = p;
   cfg.topology = numa::Topology::paper();

@@ -75,10 +75,10 @@ RealRunResult run_real(wl::Workload& workload, Variant variant,
   return out;
 }
 
-sim::SimResult run_sim(const wl::Workload& workload, Variant variant,
+sim::SimResult run_sim(wl::Workload& workload, Variant variant,
                        std::uint32_t workers, const SimSweepOptions& opts) {
   NABBITC_CHECK(variant != Variant::kSerial);
-  sim::TaskDag dag = workload.build_dag(workers, opts.coloring);
+  sim::TaskDag dag = wl::simulated_dag(workload, workers, opts.coloring);
   sim::SimConfig cfg;
   cfg.num_workers = workers;
   cfg.topology = opts.topology;

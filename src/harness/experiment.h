@@ -45,7 +45,7 @@ struct RealRunOptions {
 };
 
 /// Runs `workload` under `variant` on real threads; workload must outlive
-/// the call. prepare() is called with the right color count internally.
+/// the call. prepare() is called internally.
 /// Task-graph variants share one Runtime across all repeats; per-repeat
 /// counters are accumulated into the result and the harness asserts the
 /// counter reset between repeats leaves the pool clean.
@@ -59,8 +59,9 @@ struct SimSweepOptions {
   std::uint64_t seed = 0x5eed;
 };
 
-/// Simulates one (workload, variant, P) cell on the virtual machine.
-sim::SimResult run_sim(const wl::Workload& workload, Variant variant,
+/// Simulates one (workload, variant, P) cell on the virtual machine, over
+/// wl::simulated_dag (no prepare() needed).
+sim::SimResult run_sim(wl::Workload& workload, Variant variant,
                        std::uint32_t workers, const SimSweepOptions& opts);
 
 /// Default processor-count sweep matching the paper's x-axes.

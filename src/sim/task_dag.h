@@ -1,10 +1,11 @@
 // Explicit task DAG with per-node costs and colors.
 //
 // The exchange format between workloads and the discrete-event simulator:
-// each workload exports its task graph once (nodes = tasks, work = abstract
-// cost units proportional to the task's memory traffic, color = the user's
-// locality hint), and the simulator replays the scheduling policies over it
-// at any machine size.
+// wl::simulated_dag builds one from a workload's compiled task graph
+// (nodes = tasks, work = abstract cost units proportional to the task's
+// memory traffic, color = where its data lives, hint = the user's locality
+// hint), and the simulator replays the scheduling policies over it at any
+// machine size.
 #pragma once
 
 #include <cstdint>

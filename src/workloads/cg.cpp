@@ -68,8 +68,7 @@ class CgWorkload final : public Workload {
  public:
   explicit CgWorkload(SizePreset preset)
       : cfg_(cg_config(preset)),
-        pattern_(graph::make_spd_pattern(cfg_.n, cfg_.nnz_per_row, 42)),
-        dist_(cfg_.blocks, 1) {
+        pattern_(graph::make_spd_pattern(cfg_.n, cfg_.nnz_per_row, 42)) {
     build_matrix();
   }
 
@@ -81,16 +80,15 @@ class CgWorkload final : public Workload {
     return os.str();
   }
   std::uint64_t num_tasks() const override {
-    // setup blocks + rr0 reduce + per iteration: 5 block phases + 2 reduces.
+    // setup blocks + rr0 reduce + per iteration: 4 block phases + 2 reduces,
+    // + a p-update phase in every iteration but the last.
     return cfg_.blocks + 1 +
-           static_cast<std::uint64_t>(cfg_.iterations) * (5 * cfg_.blocks + 2);
+           static_cast<std::uint64_t>(cfg_.iterations) * (4 * cfg_.blocks + 2) +
+           static_cast<std::uint64_t>(cfg_.iterations - 1) * cfg_.blocks;
   }
   std::uint32_t iterations() const override { return cfg_.iterations; }
 
-  void prepare(std::uint32_t num_colors) override {
-    num_colors_ = num_colors;
-    reset();
-  }
+  void prepare(std::uint32_t /*num_colors*/) override { reset(); }
 
   void reset() override {
     const auto n = static_cast<std::size_t>(cfg_.n);
@@ -267,15 +265,12 @@ class CgWorkload final : public Workload {
     return d.value();
   }
 
-  sim::TaskDag build_dag(std::uint32_t num_colors,
-                         nabbit::ColoringMode coloring) const override;
+  double node_cost(Key k) const override {
+    return phase_cost(key_phase(k), key_block(k));
+  }
 
   // --- structure -------------------------------------------------------------
   std::uint32_t num_blocks() const noexcept { return cfg_.blocks; }
-  std::uint32_t num_colors() const noexcept { return num_colors_; }
-  numa::Color block_owner(std::uint32_t b) const {
-    return numa::BlockDistribution(cfg_.blocks, num_colors_).owner(b);
-  }
   double phase_cost(std::uint32_t phase, std::uint32_t b) const {
     const double rows = static_cast<double>(row_hi(b) - row_lo(b));
     switch (phase) {
@@ -321,12 +316,10 @@ class CgWorkload final : public Workload {
 
   CgConfig cfg_;
   graph::Csr pattern_;
-  numa::BlockDistribution dist_;
   std::vector<double> vals_, diag_;
   std::vector<double> x_, r_, p_, q_;
   std::vector<double> partial_pq_, partial_rr_;
   std::vector<double> rr_, alpha_, beta_;
-  std::uint32_t num_colors_ = 1;
 };
 
 class CgNode final : public nabbit::TaskGraphNode {
@@ -392,88 +385,35 @@ class CgNode final : public nabbit::TaskGraphNode {
 
 class CgSpec final : public nabbit::GraphSpec {
  public:
-  CgSpec(CgWorkload* w, nabbit::ColoringMode mode) : w_(w), mode_(mode) {}
+  CgSpec(CgWorkload* w, std::uint32_t num_colors, nabbit::ColoringMode mode)
+      : w_(w), blocks_(w->num_blocks(), num_colors), mode_(mode) {}
 
   nabbit::TaskGraphNode* create(nabbit::NodeArena& arena, Key) override {
     return arena.create<CgNode>(w_);
   }
   numa::Color color_of(Key k) const override {
-    return nabbit::apply_coloring(data_color_of(k), mode_, w_->num_colors());
+    return nabbit::apply_coloring(data_color_of(k), mode_, blocks_.num_colors());
   }
 
+  // The reduces (block field 0) ride with block 0.
   numa::Color data_color_of(Key k) const override {
-    return w_->block_owner(key_block(k));
+    return blocks_.owner(key_block(k));
   }
   std::size_t expected_nodes() const override { return w_->num_tasks(); }
 
  private:
   CgWorkload* w_;
+  numa::BlockDistribution blocks_;
   nabbit::ColoringMode mode_;
 };
 
 std::unique_ptr<nabbit::GraphSpec> CgWorkload::make_taskgraph_spec(
     std::uint32_t num_colors, nabbit::ColoringMode coloring) {
-  NABBITC_CHECK(num_colors == num_colors_);
-  return std::make_unique<CgSpec>(this, coloring);
+  return std::make_unique<CgSpec>(this, num_colors, coloring);
 }
 
 nabbit::Key CgWorkload::taskgraph_sink() const {
   return make_key(cfg_.iterations, kRrReduce, 0);
-}
-
-sim::TaskDag CgWorkload::build_dag(std::uint32_t num_colors,
-                                   nabbit::ColoringMode coloring) const {
-  numa::BlockDistribution dist(cfg_.blocks, num_colors);
-  const std::uint32_t nb = cfg_.blocks;
-  auto add = [&](sim::TaskDag& d, double work, std::uint32_t b) {
-    const numa::Color good = dist.owner(b);
-    return d.add_node(work, good, nabbit::apply_coloring(good, coloring, num_colors));
-  };
-
-  sim::TaskDag dag;
-  // Layout: setup[b], rr0, then per iteration t >= 1:
-  // matvec[b], dotpq[b], alpha, axpy[b], dotrr[b], rr, pupdate[b].
-  std::vector<sim::NodeId> setup(nb), prev_p(nb);
-  for (std::uint32_t b = 0; b < nb; ++b) {
-    setup[b] = add(dag, phase_cost(kSetup, b), b);
-  }
-  sim::NodeId prev_rr = add(dag, phase_cost(kRrReduce, 0), 0);
-  for (std::uint32_t b = 0; b < nb; ++b) dag.add_edge(setup[b], prev_rr);
-  prev_p = setup;
-
-  for (std::uint32_t t = 1; t <= cfg_.iterations; ++t) {
-    std::vector<sim::NodeId> matvec(nb), dotpq(nb), axpy(nb), dotrr(nb);
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      matvec[b] = add(dag, phase_cost(kMatvec, b), b);
-      for (std::uint32_t s = 0; s < nb; ++s) dag.add_edge(prev_p[s], matvec[b]);
-    }
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      dotpq[b] = add(dag, phase_cost(kDotPq, b), b);
-      dag.add_edge(matvec[b], dotpq[b]);
-    }
-    sim::NodeId alpha = add(dag, phase_cost(kAlpha, 0), 0);
-    for (std::uint32_t b = 0; b < nb; ++b) dag.add_edge(dotpq[b], alpha);
-    dag.add_edge(prev_rr, alpha);
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      axpy[b] = add(dag, phase_cost(kAxpy, b), b);
-      dag.add_edge(alpha, axpy[b]);
-    }
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      dotrr[b] = add(dag, phase_cost(kDotRr, b), b);
-      dag.add_edge(axpy[b], dotrr[b]);
-    }
-    sim::NodeId rr = add(dag, phase_cost(kRrReduce, 0), 0);
-    for (std::uint32_t b = 0; b < nb; ++b) dag.add_edge(dotrr[b], rr);
-    prev_rr = rr;
-    if (t < cfg_.iterations) {
-      for (std::uint32_t b = 0; b < nb; ++b) {
-        sim::NodeId pu = add(dag, phase_cost(kPUpdate, b), b);
-        dag.add_edge(rr, pu);
-        prev_p[b] = pu;
-      }
-    }
-  }
-  return dag;
 }
 
 }  // namespace

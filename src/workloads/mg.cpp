@@ -73,11 +73,10 @@ class MgWorkload final : public Workload {
   }
   std::uint32_t iterations() const override { return 1; }
 
-  void prepare(std::uint32_t num_colors) override {
+  void prepare(std::uint32_t /*num_colors*/) override {
     NABBITC_CHECK_MSG(level_cells(0) <= (std::size_t{1} << 25),
                       "grid too large to materialize on this host — paper-scale "
-                      "presets are simulator-only (build_dag)");
-    num_colors_ = num_colors;
+                      "presets are simulator-only");
     reset();
   }
 
@@ -131,19 +130,21 @@ class MgWorkload final : public Workload {
     return d.value();
   }
 
-  sim::TaskDag build_dag(std::uint32_t num_colors,
-                         nabbit::ColoringMode coloring) const override;
+  double node_cost(Key k) const override {
+    if (key_major(k) == num_phases()) return 1.0;  // sink
+    return block_cost(key_major(k), key_minor(k));
+  }
 
   // --- structure ------------------------------------------------------------
   std::uint32_t num_phases() const noexcept {
     return static_cast<std::uint32_t>(phases_.size());
   }
   const MgPhase& phase(std::uint32_t p) const { return phases_[p]; }
-  std::uint32_t num_colors() const noexcept { return num_colors_; }
 
   /// Good color: slabs of a phase distributed evenly across colors.
-  numa::Color block_owner(std::uint32_t p, std::uint32_t b) const {
-    return numa::BlockDistribution(phases_[p].num_blocks, num_colors_).owner(b);
+  numa::Color block_owner(std::uint32_t p, std::uint32_t b,
+                          std::uint32_t num_colors) const {
+    return numa::BlockDistribution(phases_[p].num_blocks, num_colors).owner(b);
   }
 
   /// Blocks of phase p-1 that phase p's block b depends on (z-overlap with
@@ -337,7 +338,6 @@ class MgWorkload final : public Workload {
   std::vector<std::vector<double>> u_[2];  // [buf][level]
   std::vector<std::vector<double>> f_;     // [level]
   std::uint8_t final_buf_ = 0;
-  std::uint32_t num_colors_ = 1;
 };
 
 // Keys: major = phase index (num_phases = sink), minor = block.
@@ -373,13 +373,14 @@ class MgNode final : public nabbit::TaskGraphNode {
 
 class MgSpec final : public nabbit::GraphSpec {
  public:
-  MgSpec(MgWorkload* w, nabbit::ColoringMode mode) : w_(w), mode_(mode) {}
+  MgSpec(MgWorkload* w, std::uint32_t num_colors, nabbit::ColoringMode mode)
+      : w_(w), num_colors_(num_colors), mode_(mode) {}
 
   nabbit::TaskGraphNode* create(nabbit::NodeArena& arena, Key) override {
     return arena.create<MgNode>(w_);
   }
   numa::Color color_of(Key k) const override {
-    return nabbit::apply_coloring(data_color_of(k), mode_, w_->num_colors());
+    return nabbit::apply_coloring(data_color_of(k), mode_, num_colors_);
   }
 
   numa::Color data_color_of(Key k) const override {
@@ -388,53 +389,23 @@ class MgSpec final : public nabbit::GraphSpec {
       p = w_->num_phases() - 1;
       b = 0;
     }
-    return w_->block_owner(p, b);
+    return w_->block_owner(p, b, num_colors_);
   }
   std::size_t expected_nodes() const override { return w_->num_tasks(); }
 
  private:
   MgWorkload* w_;
+  std::uint32_t num_colors_;
   nabbit::ColoringMode mode_;
 };
 
 std::unique_ptr<nabbit::GraphSpec> MgWorkload::make_taskgraph_spec(
     std::uint32_t num_colors, nabbit::ColoringMode coloring) {
-  NABBITC_CHECK(num_colors == num_colors_);
-  return std::make_unique<MgSpec>(this, coloring);
+  return std::make_unique<MgSpec>(this, num_colors, coloring);
 }
 
 nabbit::Key MgWorkload::taskgraph_sink() const {
   return key_pack(num_phases(), 0);
-}
-
-sim::TaskDag MgWorkload::build_dag(std::uint32_t num_colors,
-                                   nabbit::ColoringMode coloring) const {
-  sim::TaskDag dag;
-  std::vector<std::vector<sim::NodeId>> ids(phases_.size());
-  for (std::uint32_t p = 0; p < phases_.size(); ++p) {
-    numa::BlockDistribution dist(phases_[p].num_blocks, num_colors);
-    ids[p].resize(phases_[p].num_blocks);
-    for (std::uint32_t b = 0; b < phases_[p].num_blocks; ++b) {
-      const numa::Color good = dist.owner(b);
-      ids[p][b] = dag.add_node(block_cost(p, b), good,
-                               nabbit::apply_coloring(good, coloring, num_colors));
-    }
-  }
-  for (std::uint32_t p = 1; p < phases_.size(); ++p) {
-    for (std::uint32_t b = 0; b < phases_[p].num_blocks; ++b) {
-      std::uint32_t lo, hi;
-      dep_blocks(p, b, &lo, &hi);
-      for (std::uint32_t i = lo; i < hi; ++i) dag.add_edge(ids[p - 1][i], ids[p][b]);
-    }
-  }
-  const std::uint32_t last = static_cast<std::uint32_t>(phases_.size()) - 1;
-  numa::BlockDistribution dist(phases_[last].num_blocks, num_colors);
-  sim::NodeId sink = dag.add_node(
-      1.0, dist.owner(0), nabbit::apply_coloring(dist.owner(0), coloring, num_colors));
-  for (std::uint32_t b = 0; b < phases_[last].num_blocks; ++b) {
-    dag.add_edge(ids[last][b], sink);
-  }
-  return dag;
 }
 
 }  // namespace

@@ -42,17 +42,16 @@ class PageRankWorkload final : public Workload {
     return os.str();
   }
   std::uint64_t num_tasks() const override {
-    // init blocks + iterations x (blocks + barrier) + sink barrier usage:
-    // barriers exist per iteration 0..iters.
+    // Blocks of iterations 0..iters, plus the final barrier (the sink). The
+    // barriers of iterations 0..iters-1 exist only when some block takes
+    // the barrier fallback.
+    const std::uint64_t barriers = barrier_fallback_ ? cfg_.iterations + 1 : 1;
     return static_cast<std::uint64_t>(cfg_.num_blocks) * (cfg_.iterations + 1) +
-           (cfg_.iterations + 1);
+           barriers;
   }
   std::uint32_t iterations() const override { return cfg_.iterations; }
 
-  void prepare(std::uint32_t num_colors) override {
-    num_colors_ = num_colors;
-    reset();
-  }
+  void prepare(std::uint32_t /*num_colors*/) override { reset(); }
 
   void reset() override {
     const auto nv = static_cast<std::size_t>(out_.num_vertices());
@@ -95,8 +94,10 @@ class PageRankWorkload final : public Workload {
     return d.value();
   }
 
-  sim::TaskDag build_dag(std::uint32_t num_colors,
-                         nabbit::ColoringMode coloring) const override;
+  double node_cost(Key k) const override {
+    if (key_minor(k) == cfg_.num_blocks) return 0.5;  // barrier
+    return key_major(k) == 0 ? 1.0 : block_cost(key_minor(k));
+  }
 
   // --- task bodies ---------------------------------------------------------
   void init_block(std::uint32_t b) {
@@ -131,10 +132,6 @@ class PageRankWorkload final : public Workload {
   const std::vector<std::uint32_t>& deps_of(std::uint32_t b) const {
     return block_deps_[b];
   }
-  numa::Color block_color(std::uint32_t b) const {
-    return numa::BlockDistribution(cfg_.num_blocks, num_colors_).owner(b);
-  }
-  std::uint32_t num_colors() const noexcept { return num_colors_; }
   double block_cost(std::uint32_t b) const {
     double edges = 0;
     for (auto v = part_.begin_of(b); v < part_.end_of(b); ++v) {
@@ -152,7 +149,7 @@ class PageRankWorkload final : public Workload {
   std::vector<double> inv_outdeg_;
   std::vector<double> ranks_[2];
   std::int64_t max_out_degree_ = 0;
-  std::uint32_t num_colors_ = 1;
+  bool barrier_fallback_ = false;  // some block has more than dep_cap deps
 };
 
 graph::Csr generate_dataset(PageRankDataset dataset, SizePreset preset) {
@@ -229,6 +226,7 @@ PageRankWorkload::PageRankWorkload(PageRankDataset dataset, SizePreset preset)
       std::set_union(d.begin(), d.end(), readers[b].begin(), readers[b].end(),
                      std::back_inserter(merged));
       d = std::move(merged);
+      barrier_fallback_ = barrier_fallback_ || d.size() > cfg_.dep_cap;
     }
   }
   inv_outdeg_.resize(static_cast<std::size_t>(out_.num_vertices()));
@@ -284,69 +282,37 @@ class PageRankNode final : public nabbit::TaskGraphNode {
 
 class PageRankSpec final : public nabbit::GraphSpec {
  public:
-  PageRankSpec(PageRankWorkload* w, nabbit::ColoringMode mode)
-      : w_(w), mode_(mode) {}
+  PageRankSpec(PageRankWorkload* w, std::uint32_t num_colors,
+               nabbit::ColoringMode mode)
+      : w_(w), blocks_(w->num_blocks(), num_colors), mode_(mode) {}
 
   nabbit::TaskGraphNode* create(nabbit::NodeArena& arena, Key) override {
     return arena.create<PageRankNode>(w_);
   }
   numa::Color color_of(Key k) const override {
-    return nabbit::apply_coloring(data_color_of(k), mode_, w_->num_colors());
+    return nabbit::apply_coloring(data_color_of(k), mode_, blocks_.num_colors());
   }
 
   numa::Color data_color_of(Key k) const override {
     std::uint32_t b = key_minor(k);
     if (b == w_->num_blocks()) b = 0;  // barrier rides with block 0
-    return w_->block_color(b);
+    return blocks_.owner(b);
   }
   std::size_t expected_nodes() const override { return w_->num_tasks(); }
 
  private:
   PageRankWorkload* w_;
+  numa::BlockDistribution blocks_;
   nabbit::ColoringMode mode_;
 };
 
 std::unique_ptr<nabbit::GraphSpec> PageRankWorkload::make_taskgraph_spec(
     std::uint32_t num_colors, nabbit::ColoringMode coloring) {
-  NABBITC_CHECK(num_colors == num_colors_);
-  return std::make_unique<PageRankSpec>(this, coloring);
+  return std::make_unique<PageRankSpec>(this, num_colors, coloring);
 }
 
 nabbit::Key PageRankWorkload::taskgraph_sink() const {
   return key_pack(cfg_.iterations, cfg_.num_blocks);  // final barrier = sink
-}
-
-sim::TaskDag PageRankWorkload::build_dag(std::uint32_t num_colors,
-                                         nabbit::ColoringMode coloring) const {
-  numa::BlockDistribution dist(cfg_.num_blocks, num_colors);
-  const std::uint32_t nb = cfg_.num_blocks;
-  sim::TaskDag dag;
-  // Node layout: iteration-major; per iteration nb block tasks + 1 barrier.
-  auto id = [&](std::uint32_t t, std::uint32_t b) {
-    return static_cast<sim::NodeId>(t * (nb + 1) + b);
-  };
-  for (std::uint32_t t = 0; t <= cfg_.iterations; ++t) {
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      const double work = t == 0 ? 1.0 : block_cost(b);
-      dag.add_node(work, dist.owner(b),
-                   nabbit::apply_coloring(dist.owner(b), coloring, num_colors));
-    }
-    dag.add_node(0.5, dist.owner(0),
-                 nabbit::apply_coloring(dist.owner(0), coloring, num_colors));
-  }
-  for (std::uint32_t t = 0; t <= cfg_.iterations; ++t) {
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      dag.add_edge(id(t, b), id(t, nb));  // barrier collects iteration t
-      if (t == 0) continue;
-      const auto& deps = block_deps_[b];
-      if (deps.size() > cfg_.dep_cap) {
-        dag.add_edge(id(t - 1, nb), id(t, b));
-      } else {
-        for (std::uint32_t s : deps) dag.add_edge(id(t - 1, s), id(t, b));
-      }
-    }
-  }
-  return dag;
 }
 
 }  // namespace

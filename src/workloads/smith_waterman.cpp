@@ -36,7 +36,7 @@ std::vector<std::uint8_t> random_sequence(std::int64_t n, std::uint64_t seed) {
 }
 
 // -------------------------------------------------------------------------
-// Shared wavefront scaffolding: serial / loop / task-graph / dag over a
+// Shared wavefront scaffolding: serial / loop / task-graph / costs over a
 // blocks grid where (bi, bj) depends on left, top (and optionally diag).
 
 class WavefrontWorkload : public Workload {
@@ -59,10 +59,7 @@ class WavefrontWorkload : public Workload {
   }
   std::uint32_t iterations() const override { return 1; }
 
-  void prepare(std::uint32_t num_colors) override {
-    num_colors_ = num_colors;
-    init_data();
-  }
+  void prepare(std::uint32_t /*num_colors*/) override { init_data(); }
   void reset() override { init_data(); }
 
   void run_serial() override {
@@ -92,39 +89,14 @@ class WavefrontWorkload : public Workload {
       std::uint32_t num_colors, nabbit::ColoringMode coloring) override;
   nabbit::Key taskgraph_sink() const override;
 
-  sim::TaskDag build_dag(std::uint32_t num_colors,
-                         nabbit::ColoringMode coloring) const override {
-    numa::BlockDistribution dist(nbi_, num_colors);
-    sim::TaskDag dag;
-    for (std::uint32_t bi = 0; bi < nbi_; ++bi) {
-      for (std::uint32_t bj = 0; bj < nbj_; ++bj) {
-        const numa::Color good = dist.owner(bi);
-        [[maybe_unused]] sim::NodeId id = dag.add_node(
-            block_cost(bi, bj), good,
-            nabbit::apply_coloring(good, coloring, num_colors));
-        NABBITC_DCHECK(id == bi * nbj_ + bj);
-      }
-    }
-    auto id = [&](std::uint32_t bi, std::uint32_t bj) {
-      return static_cast<sim::NodeId>(bi * nbj_ + bj);
-    };
-    for (std::uint32_t bi = 0; bi < nbi_; ++bi) {
-      for (std::uint32_t bj = 0; bj < nbj_; ++bj) {
-        if (bj > 0) dag.add_edge(id(bi, bj - 1), id(bi, bj));
-        if (bi > 0) dag.add_edge(id(bi - 1, bj), id(bi, bj));
-        if (diag_dep_ && bi > 0 && bj > 0) dag.add_edge(id(bi - 1, bj - 1), id(bi, bj));
-      }
-    }
-    return dag;
+  double node_cost(nabbit::Key k) const override {
+    return block_cost(key_major(k), key_minor(k));
   }
 
   // --- structure ----------------------------------------------------------
   std::uint32_t nbi() const noexcept { return nbi_; }
   std::uint32_t nbj() const noexcept { return nbj_; }
   bool diag_dep() const noexcept { return diag_dep_; }
-  numa::Color row_color(std::uint32_t bi) const {
-    return numa::BlockDistribution(nbi_, num_colors_).owner(bi);
-  }
 
   /// Computes one block; must be safe to call concurrently for independent
   /// blocks once its dependences are satisfied.
@@ -146,7 +118,6 @@ class WavefrontWorkload : public Workload {
   std::int64_t n_, m_, block_;
   bool diag_dep_;
   std::uint32_t nbi_, nbj_;
-  std::uint32_t num_colors_ = 1;
 };
 
 class WavefrontNode final : public nabbit::TaskGraphNode {
@@ -172,30 +143,30 @@ class WavefrontSpec final : public nabbit::GraphSpec {
  public:
   WavefrontSpec(WavefrontWorkload* w, std::uint32_t num_colors,
                 nabbit::ColoringMode mode)
-      : w_(w), num_colors_(num_colors), mode_(mode) {}
+      : w_(w), rows_(w->nbi(), num_colors), mode_(mode) {}
 
   nabbit::TaskGraphNode* create(nabbit::NodeArena& arena, Key) override {
     return arena.create<WavefrontNode>(w_);
   }
   numa::Color color_of(Key k) const override {
-    return nabbit::apply_coloring(data_color_of(k), mode_, num_colors_);
+    return nabbit::apply_coloring(data_color_of(k), mode_, rows_.num_colors());
   }
 
+  // A block's data lives with its row of blocks.
   numa::Color data_color_of(Key k) const override {
-    return w_->row_color(key_major(k));
+    return rows_.owner(key_major(k));
   }
   std::size_t expected_nodes() const override { return w_->num_tasks(); }
 
  private:
   WavefrontWorkload* w_;
-  std::uint32_t num_colors_;
+  numa::BlockDistribution rows_;
   nabbit::ColoringMode mode_;
 };
 
 std::unique_ptr<nabbit::GraphSpec> WavefrontWorkload::make_taskgraph_spec(
     std::uint32_t num_colors, nabbit::ColoringMode coloring) {
-  NABBITC_CHECK(num_colors == num_colors_);
-  return std::make_unique<WavefrontSpec>(this, num_colors_, coloring);
+  return std::make_unique<WavefrontSpec>(this, num_colors, coloring);
 }
 
 nabbit::Key WavefrontWorkload::taskgraph_sink() const {

@@ -30,17 +30,16 @@ std::uint64_t StencilWorkload::num_tasks() const {
   return static_cast<std::uint64_t>(dims_.iters) * num_blocks_ + 1;
 }
 
-numa::Color StencilWorkload::block_color(std::uint32_t b) const {
-  numa::BlockDistribution dist(num_blocks_, num_colors_);
-  return dist.owner(b);
+numa::Color StencilWorkload::block_color(std::uint32_t b,
+                                         std::uint32_t num_colors) const {
+  return numa::BlockDistribution(num_blocks_, num_colors).owner(b);
 }
 
 void StencilWorkload::prepare(std::uint32_t num_colors) {
   NABBITC_CHECK(num_colors >= 1);
   NABBITC_CHECK_MSG(dims_.rows * dims_.cols <= (std::int64_t{1} << 28),
                     "grid too large to materialize on this host — paper-scale "
-                    "presets are simulator-only (build_dag)");
-  num_colors_ = num_colors;
+                    "presets are simulator-only");
   init_grids();
 }
 
@@ -120,7 +119,7 @@ class StencilSpec final : public nabbit::GraphSpec {
   numa::Color data_color_of(Key k) const override {
     std::uint32_t b = key_minor(k);
     if (key_major(k) > w_->iterations()) b = 0;  // sink rides with block 0
-    return w_->block_color(b);
+    return w_->block_color(b, num_colors_);
   }
 
   std::size_t expected_nodes() const override { return w_->num_tasks(); }
@@ -135,45 +134,16 @@ class StencilSpec final : public nabbit::GraphSpec {
 
 std::unique_ptr<nabbit::GraphSpec> StencilWorkload::make_taskgraph_spec(
     std::uint32_t num_colors, nabbit::ColoringMode coloring) {
-  NABBITC_CHECK_MSG(num_colors == num_colors_,
-                    "prepare() was called for a different worker count");
-  return std::make_unique<StencilSpec>(this, num_colors_, coloring);
+  return std::make_unique<StencilSpec>(this, num_colors, coloring);
 }
 
 nabbit::Key StencilWorkload::taskgraph_sink() const {
   return key_pack(dims_.iters + 1, 0);
 }
 
-sim::TaskDag StencilWorkload::build_dag(std::uint32_t num_colors,
-                                        nabbit::ColoringMode coloring) const {
-  numa::BlockDistribution dist(num_blocks_, num_colors);
-  sim::TaskDag dag;
-  const double cost =
-      static_cast<double>(dims_.block_rows) * static_cast<double>(dims_.cols);
-  auto id = [&](std::uint32_t t, std::uint32_t b) {
-    return static_cast<sim::NodeId>((t - 1) * num_blocks_ + b);
-  };
-  for (std::uint32_t t = 1; t <= dims_.iters; ++t) {
-    for (std::uint32_t b = 0; b < num_blocks_; ++b) {
-      const numa::Color good = dist.owner(b);
-      [[maybe_unused]] sim::NodeId nid = dag.add_node(
-          cost, good, nabbit::apply_coloring(good, coloring, num_colors));
-      NABBITC_DCHECK(nid == id(t, b));
-    }
-  }
-  sim::NodeId sink = dag.add_node(
-      1.0, dist.owner(0), nabbit::apply_coloring(dist.owner(0), coloring, num_colors));
-  for (std::uint32_t t = 2; t <= dims_.iters; ++t) {
-    for (std::uint32_t b = 0; b < num_blocks_; ++b) {
-      if (b > 0) dag.add_edge(id(t - 1, b - 1), id(t, b));
-      dag.add_edge(id(t - 1, b), id(t, b));
-      if (b + 1 < num_blocks_) dag.add_edge(id(t - 1, b + 1), id(t, b));
-    }
-  }
-  for (std::uint32_t b = 0; b < num_blocks_; ++b) {
-    dag.add_edge(id(dims_.iters, b), sink);
-  }
-  return dag;
+double StencilWorkload::node_cost(Key k) const {
+  if (key_major(k) > dims_.iters) return 1.0;  // sink
+  return static_cast<double>(dims_.block_rows) * static_cast<double>(dims_.cols);
 }
 
 }  // namespace nabbitc::wl

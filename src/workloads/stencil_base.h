@@ -40,8 +40,7 @@ class StencilWorkload : public Workload {
   std::unique_ptr<nabbit::GraphSpec> make_taskgraph_spec(
       std::uint32_t num_colors, nabbit::ColoringMode coloring) override;
   nabbit::Key taskgraph_sink() const override;
-  sim::TaskDag build_dag(std::uint32_t num_colors,
-                         nabbit::ColoringMode coloring) const override;
+  double node_cost(nabbit::Key k) const override;
 
   // --- subclass hooks -----------------------------------------------------
   /// Allocates and fills the initial grids (also used by reset()).
@@ -61,13 +60,12 @@ class StencilWorkload : public Workload {
     std::int64_t hi = block_lo(b) + dims_.block_rows;
     return hi > dims_.rows ? dims_.rows : hi;
   }
-  /// Good color of block b under the current prepare() distribution.
-  numa::Color block_color(std::uint32_t b) const;
+  /// Good color of block b when the blocks are spread over `num_colors`.
+  numa::Color block_color(std::uint32_t b, std::uint32_t num_colors) const;
 
  protected:
   Dims dims_;
   std::uint32_t num_blocks_;
-  std::uint32_t num_colors_ = 1;
 };
 
 }  // namespace nabbitc::wl

@@ -1,5 +1,9 @@
 #include "workloads/workload.h"
 
+#include <algorithm>
+#include <numeric>
+
+#include "plan/plan.h"
 #include "support/check.h"
 #include "workloads/cg.h"
 #include "workloads/mg.h"
@@ -12,6 +16,33 @@ namespace nabbitc::wl {
 void Workload::run_taskgraph(api::Runtime& rt, nabbit::ColoringMode coloring) {
   auto spec = make_taskgraph_spec(rt.workers(), coloring);
   rt.run(*spec, taskgraph_sink());
+}
+
+sim::TaskDag simulated_dag(Workload& w, std::uint32_t num_colors,
+                           nabbit::ColoringMode coloring) {
+  auto spec = w.make_taskgraph_spec(num_colors, coloring);
+  plan::CompileOptions opts;
+  opts.passes = 0;
+  const auto plan = plan::compile(*spec, w.taskgraph_sink(), opts);
+  const plan::FrozenPlan& f = plan->frozen();
+
+  // Keys encode each workload's iteration-major order, so ascending keys
+  // number the nodes independently of the compiler's discovery order.
+  std::vector<std::uint32_t> order(f.n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&f](std::uint32_t a, std::uint32_t b) { return f.keys[a] < f.keys[b]; });
+  std::vector<sim::NodeId> id(f.n);
+  for (std::uint32_t v = 0; v < f.n; ++v) id[order[v]] = v;
+
+  sim::TaskDag dag;
+  for (const std::uint32_t i : order) {
+    dag.add_node(w.node_cost(f.keys[i]), f.data_colors[i], f.colors[i]);
+  }
+  for (const std::uint32_t i : order) {
+    for (const std::uint32_t p : plan->predecessors(i)) dag.add_edge(id[p], id[i]);
+  }
+  return dag;
 }
 
 SizePreset preset_from_string(const std::string& s) {

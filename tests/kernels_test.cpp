@@ -48,10 +48,9 @@ TEST(StencilStructure, BlocksTileRows) {
 
 TEST(StencilStructure, BlockColorsPartitionEvenly) {
   auto w = make_fdtd(SizePreset::kSmall);
-  w->prepare(8);
   std::vector<int> per_color(8, 0);
   for (std::uint32_t b = 0; b < w->num_blocks(); ++b) {
-    numa::Color c = w->block_color(b);
+    numa::Color c = w->block_color(b, 8);
     ASSERT_GE(c, 0);
     ASSERT_LT(c, 8);
     ++per_color[static_cast<std::size_t>(c)];
@@ -65,10 +64,9 @@ TEST(StencilStructure, ColorsAreContiguousBands) {
   // The distribution mirrors first-touch initialization: each color owns
   // one contiguous band of blocks (monotone owner function).
   auto w = make_heat(SizePreset::kSmall);
-  w->prepare(5);
   numa::Color prev = 0;
   for (std::uint32_t b = 0; b < w->num_blocks(); ++b) {
-    numa::Color c = w->block_color(b);
+    numa::Color c = w->block_color(b, 5);
     EXPECT_GE(c, prev);
     prev = c;
   }
@@ -189,7 +187,7 @@ TEST(SwKernel, CubicIsScanBound) {
   // The DAG's cost model must reflect the O(n^3) scans: late blocks (large
   // i+j) cost more than early blocks.
   auto w = make_workload("sw", SizePreset::kTiny);
-  auto dag = w->build_dag(4, nabbit::ColoringMode::kGood);
+  auto dag = simulated_dag(*w, 4, nabbit::ColoringMode::kGood);
   // First node = block (0,0); last = bottom-right block.
   EXPECT_GT(dag.node(static_cast<sim::NodeId>(dag.num_nodes() - 1)).work,
             2.0 * dag.node(0).work);
@@ -197,7 +195,7 @@ TEST(SwKernel, CubicIsScanBound) {
 
 TEST(Swn2Kernel, AffineCostIsUniform) {
   auto w = make_workload("swn2", SizePreset::kTiny);
-  auto dag = w->build_dag(4, nabbit::ColoringMode::kGood);
+  auto dag = simulated_dag(*w, 4, nabbit::ColoringMode::kGood);
   EXPECT_DOUBLE_EQ(dag.node(0).work,
                    dag.node(static_cast<sim::NodeId>(dag.num_nodes() - 1)).work);
 }
@@ -223,8 +221,8 @@ TEST(DagCosts, TotalWorkScalesWithPreset) {
   for (const char* name : {"heat", "sw", "swn2"}) {
     auto tiny = make_workload(name, SizePreset::kTiny);
     auto paper = make_workload(name, SizePreset::kPaper);
-    auto dt = tiny->build_dag(8, nabbit::ColoringMode::kGood);
-    auto dp = paper->build_dag(8, nabbit::ColoringMode::kGood);
+    auto dt = simulated_dag(*tiny, 8, nabbit::ColoringMode::kGood);
+    auto dp = simulated_dag(*paper, 8, nabbit::ColoringMode::kGood);
     EXPECT_GT(dp.total_work(), 10.0 * dt.total_work()) << name;
     EXPECT_GT(dp.num_nodes(), dt.num_nodes()) << name;
   }
@@ -235,7 +233,7 @@ TEST(DagCosts, ParallelismSupportsPaperScaling) {
   // the regular benchmarks — the theorem's precondition for linear speedup.
   for (const char* name : {"heat", "fdtd", "life"}) {
     auto w = make_workload(name, SizePreset::kPaper);
-    auto dag = w->build_dag(80, nabbit::ColoringMode::kGood);
+    auto dag = simulated_dag(*w, 80, nabbit::ColoringMode::kGood);
     EXPECT_GT(dag.total_work() / dag.critical_path(), 80.0) << name;
   }
 }
@@ -243,7 +241,7 @@ TEST(DagCosts, ParallelismSupportsPaperScaling) {
 TEST(DagCosts, CgParallelismIsLow) {
   // ...and cg's is low, which is why NabbitC gains nothing there (§V-A).
   auto w = make_workload("cg", SizePreset::kSmall);
-  auto dag = w->build_dag(80, nabbit::ColoringMode::kGood);
+  auto dag = simulated_dag(*w, 80, nabbit::ColoringMode::kGood);
   EXPECT_LT(dag.total_work() / dag.critical_path(), 40.0);
 }
 

@@ -13,6 +13,7 @@
 #include "rt/parallel_for.h"
 #include "sim/sim_engine.h"
 #include "support/rng.h"
+#include "workloads/workload.h"
 
 namespace nabbitc {
 namespace {
@@ -195,7 +196,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimInvariants, ::testing::Values(1u, 2u, 3u, 4u,
 
 TEST(SimInvariants2, LoopAndStealingExecuteSameNodeSet) {
   auto w = wl::make_workload("mg", wl::SizePreset::kTiny);
-  sim::TaskDag dag = w->build_dag(8, nabbit::ColoringMode::kGood);
+  sim::TaskDag dag = wl::simulated_dag(*w, 8, nabbit::ColoringMode::kGood);
   sim::SimConfig cfg;
   cfg.num_workers = 8;
   auto rs = sim::simulate(dag, cfg);
@@ -243,28 +244,33 @@ TEST(PolicyCounters, RealRuntimeStealAccounting) {
 
 // ----------------------------------------------- workload num_tasks sync
 
-TEST(DagShape, NumTasksMatchesDagForDagCompleteWorkloads) {
-  // For workloads whose dynamic graph is fully reachable from the sink,
-  // num_tasks() must equal the exported DAG's node count.
-  for (const char* name : {"heat", "fdtd", "life", "sw", "swn2", "mg"}) {
-    auto w = wl::make_workload(name, wl::SizePreset::kTiny);
-    auto dag = w->build_dag(4, nabbit::ColoringMode::kGood);
-    EXPECT_EQ(w->num_tasks(), dag.num_nodes()) << name;
+TEST(DagShape, NumTasksMatchesDag) {
+  // num_tasks() (Table I's node count) counts the graph that executes.
+  for (const auto preset : {wl::SizePreset::kTiny, wl::SizePreset::kSmall}) {
+    for (const auto& name : wl::workload_names()) {
+      auto w = wl::make_workload(name, preset);
+      auto dag = wl::simulated_dag(*w, 4, nabbit::ColoringMode::kGood);
+      EXPECT_EQ(w->num_tasks(), dag.num_nodes())
+          << name << " @ " << wl::preset_name(preset);
+    }
   }
 }
 
 TEST(DagShape, DynamicExecutorCreatesExactlyDagNodes) {
-  // Heat: the dynamic executor's on-demand creation must reach exactly the
-  // nodes the DAG predicts.
-  auto w = wl::make_workload("heat", wl::SizePreset::kTiny);
-  w->prepare(4);
+  // The dynamic executor's on-demand creation must compute exactly the
+  // nodes the simulator runs.
   api::RuntimeOptions opts;
   opts.workers = 4;
   api::Runtime rt(opts);
-  w->run_taskgraph(rt, nabbit::ColoringMode::kGood);
-  // (indirect: the checksum tests prove every block ran; here we prove the
-  // graph shape via num_tasks == dag nodes, checked above.)
-  SUCCEED();
+  for (const auto& name : wl::workload_names()) {
+    auto w = wl::make_workload(name, wl::SizePreset::kTiny);
+    w->prepare(4);
+    auto spec = w->make_taskgraph_spec(4, nabbit::ColoringMode::kGood);
+    api::Execution e = rt.run(*spec, w->taskgraph_sink());
+    EXPECT_EQ(e.nodes_computed(),
+              wl::simulated_dag(*w, 4, nabbit::ColoringMode::kGood).num_nodes())
+        << name;
+  }
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 // trace / CSV export well-formedness, and the trace analyses.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cctype>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -494,12 +497,17 @@ TEST(Export, CsvHasOneRowPerEvent) {
 
 TEST(Export, FileRoundTrip) {
   Trace t = traced_small_run();
-  const std::string path = ::testing::TempDir() + "/nabbitc_trace_test.json";
+  // Per-process name: concurrent test binaries share TempDir().
+  const std::string path = ::testing::TempDir() + "/nabbitc_trace_test." +
+                           std::to_string(::getpid()) + ".json";
   ASSERT_TRUE(write_chrome_trace_file(t, path));
-  std::ifstream is(path);
   std::stringstream buf;
-  buf << is.rdbuf();
+  {
+    std::ifstream is(path);
+    buf << is.rdbuf();
+  }
   EXPECT_TRUE(JsonChecker(buf.str()).valid());
+  EXPECT_EQ(std::remove(path.c_str()), 0);
 }
 
 // ---------------------------------------------------------------- analysis

@@ -118,7 +118,7 @@ TEST_P(WorkloadVariantTest, ResetRestoresInitialState) {
 TEST_P(WorkloadVariantTest, DagIsAcyclicWithMatchingShape) {
   auto w = make_workload(GetParam(), SizePreset::kTiny);
   for (std::uint32_t colors : {1u, 4u, 8u}) {
-    sim::TaskDag dag = w->build_dag(colors, nabbit::ColoringMode::kGood);
+    sim::TaskDag dag = simulated_dag(*w, colors, nabbit::ColoringMode::kGood);
     EXPECT_TRUE(dag.is_acyclic());
     EXPECT_GT(dag.num_nodes(), 0u);
     EXPECT_GT(dag.total_work(), 0.0);
@@ -132,7 +132,7 @@ TEST_P(WorkloadVariantTest, DagIsAcyclicWithMatchingShape) {
 
 TEST_P(WorkloadVariantTest, InvalidColoringDagBreaksOnlyHints) {
   auto w = make_workload(GetParam(), SizePreset::kTiny);
-  sim::TaskDag dag = w->build_dag(4, nabbit::ColoringMode::kInvalid);
+  sim::TaskDag dag = simulated_dag(*w, 4, nabbit::ColoringMode::kInvalid);
   for (sim::NodeId v = 0; v < dag.num_nodes(); ++v) {
     EXPECT_EQ(dag.node(v).hint, numa::kInvalidColor);
     EXPECT_GE(dag.node(v).color, 0);  // data placement stays correct
@@ -207,8 +207,8 @@ TEST(PageRank, TwitterIsMoreSkewedThanUk) {
     }
     return mx / (total / static_cast<double>(d.num_nodes()));
   };
-  auto duk = uk->build_dag(4, nabbit::ColoringMode::kGood);
-  auto dtw = tw->build_dag(4, nabbit::ColoringMode::kGood);
+  auto duk = simulated_dag(*uk, 4, nabbit::ColoringMode::kGood);
+  auto dtw = simulated_dag(*tw, 4, nabbit::ColoringMode::kGood);
   EXPECT_GT(spread(dtw), spread(duk));
 }
 
@@ -246,6 +246,14 @@ TEST(PaperPreset, DagShapesMatchTableOne) {
   EXPECT_EQ(sw->num_tasks(), 25600u);
   auto swn2 = make_workload("swn2", SizePreset::kPaper);
   EXPECT_EQ(swn2->num_tasks(), 16384u);
+}
+
+TEST(PaperPreset, MgSimulatesWithoutPrepare) {
+  // mg is simulator-only at kPaper: its graph must build without prepare().
+  auto mg = make_workload("mg", SizePreset::kPaper);
+  sim::TaskDag dag = simulated_dag(*mg, 80, nabbit::ColoringMode::kGood);
+  EXPECT_TRUE(dag.is_acyclic());
+  EXPECT_EQ(dag.num_nodes(), mg->num_tasks());
 }
 
 TEST(PaperPresetDeath, StencilPrepareRefusesPaperScale) {
