@@ -329,9 +329,9 @@ void bench_runtime_submit(const BenchParams& p) {
 
 // The same single-node round trip through a compiled plan: instance reset +
 // injection handshake only — the amortized-to-zero graph-construction path
-// (compare against runtime_submit_ns). With every pass on, the one-node plan
+// (compare against runtime_submit_ns). By default the one-node plan
 // is tiny-lowered and replays inline on the submitting thread
-// (plan_replay_submit_ns). With lowering masked it takes the scheduler path
+// (plan_replay_submit_ns). With lowering off it takes the scheduler path
 // — root job injection, spawn, compute_and_notify
 // (plan_sched_replay_submit_ns) — on a ONE-worker pool, where the external
 // waiter parks immediately instead of spin-yielding
@@ -339,12 +339,12 @@ void bench_runtime_submit(const BenchParams& p) {
 // under load), so that round trip includes a futex sleep/wake pair;
 // multi-worker serving latency is bench_throughput / bench_serving's job.
 void plan_replay_round_trip(const BenchParams& p, const char* metric,
-                            std::uint32_t passes) {
+                            bool tiny_lower) {
   api::RuntimeOptions ro;
   ro.workers = 1;
   api::Runtime rt(ro);
   OneSpec spec;
-  auto plan = rt.compile(spec, 0, /*reserve_instances=*/1, passes);
+  auto plan = rt.compile(spec, 0, /*reserve_instances=*/1, tiny_lower);
   report(metric, best_ns_per_op(p, [&](std::uint64_t n) {
            for (std::uint64_t i = 0; i < n; ++i) {
              rt.run(*plan);
@@ -354,12 +354,12 @@ void plan_replay_round_trip(const BenchParams& p, const char* metric,
 }
 
 void bench_plan_replay_submit(const BenchParams& p) {
-  plan_replay_round_trip(p, "plan_replay_submit_ns", plan::kPassAll);
+  plan_replay_round_trip(p, "plan_replay_submit_ns", /*tiny_lower=*/true);
 }
 
 void bench_plan_sched_replay_submit(const BenchParams& p) {
   plan_replay_round_trip(p, "plan_sched_replay_submit_ns",
-                         plan::kPassAll & ~plan::kPassTinyLower);
+                         /*tiny_lower=*/false);
 }
 
 // The same round trip, batched: 32 single-node replays enter the scheduler

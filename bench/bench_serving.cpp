@@ -245,9 +245,9 @@ int main(int argc, char** argv) {
   // injection handshake (and, against a busy pool, a park/unpark) per
   // graph; the batch pays one pool checkout, one ring push, and one wake
   // per 32 — this amortization factor is the tentpole number. Tiny-graph
-  // lowering is masked OFF for these two plans: a 1-node plan would
+  // lowering is turned OFF for these two plans: a 1-node plan would
   // otherwise run inline and never touch the front door being measured.
-  // The same 1-node plan compiled with default passes replays inline on
+  // The same 1-node plan compiled with the default replays inline on
   // the submitting thread — no scheduler, no park/unpark — and is timed as
   // the third member of each round.
   //
@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
     TickSpec tick_spec(&tick_acc);
     auto tick_plan = rt.compile(tick_spec, 0,
                                 /*reserve_instances=*/kBatchSize + 1,
-                                plan::kPassAll & ~plan::kPassTinyLower);
+                                /*tiny_lower=*/false);
     auto inline_plan = rt.compile(tick_spec, 0, /*reserve_instances=*/1);
     check(inline_plan->serial_lowered(), "1-node plan was not lowered");
     const std::uint64_t budget_ns = tiny ? 100'000'000ull : 400'000'000ull;

@@ -10,9 +10,6 @@
 
 namespace nabbitc::api {
 
-static_assert(plan::kAllCompilerPasses == plan::kPassAll,
-              "runtime.h's forward-declared pass mask drifted from plan.h");
-
 // ---------------------------------------------------------------------------
 // Variant
 
@@ -256,10 +253,6 @@ Runtime::Runtime(RuntimeOptions opts) : opts_(opts) {
 
 Runtime::~Runtime() = default;  // ~Scheduler drains in-flight jobs
 
-Execution Runtime::submit(GraphSpec& spec, Key sink) {
-  return submit(spec, sink, opts_.default_submit);
-}
-
 Execution Runtime::submit(GraphSpec& spec, Key sink, const SubmitOptions& so) {
   auto st = std::make_unique<detail::ExecutionState>();
   st->sched = sched_.get();
@@ -287,10 +280,6 @@ Execution Runtime::submit(GraphSpec& spec, Key sink, const SubmitOptions& so) {
   return Execution(st.release());
 }
 
-Execution Runtime::run(GraphSpec& spec, Key sink) {
-  return run(spec, sink, opts_.default_submit);
-}
-
 Execution Runtime::run(GraphSpec& spec, Key sink, const SubmitOptions& so) {
   Execution e = submit(spec, sink, so);
   e.wait();
@@ -299,13 +288,13 @@ Execution Runtime::run(GraphSpec& spec, Key sink, const SubmitOptions& so) {
 
 std::unique_ptr<plan::GraphPlan> Runtime::compile(GraphSpec& spec, Key sink,
                                                   std::size_t reserve_instances,
-                                                  std::uint32_t passes) {
+                                                  bool tiny_lower) {
   plan::CompileOptions po;
   // Like submit(): the runtime's variant decides the replay spawn
   // semantics, so a plan cannot disagree with the steal policy.
   po.colored = opts_.variant == Variant::kNabbitC;
   po.reserve_instances = reserve_instances;
-  po.passes = passes;
+  po.tiny_lower = tiny_lower;
   return plan::compile(spec, sink, po);
 }
 
@@ -352,10 +341,6 @@ void check_plan_variant(const plan::GraphPlan& plan, Variant variant) {
 
 }  // namespace
 
-Execution Runtime::submit(const plan::GraphPlan& plan) {
-  return submit(plan, opts_.default_submit);
-}
-
 Execution Runtime::submit(const plan::GraphPlan& plan, const SubmitOptions& so) {
   check_plan_variant(plan, opts_.variant);
   // The whole replay submit path is allocation-free once the plan's
@@ -363,7 +348,8 @@ Execution Runtime::submit(const plan::GraphPlan& plan, const SubmitOptions& so) 
   // reuse a pooled instance, the RootJob and its bound closure are embedded
   // in it, lane/deadline/name are plain stores, and this handle is just a
   // pointer at the embedded state.
-  plan::PlanInstance* inst = plan.acquire();
+  plan::PlanInstance* inst = nullptr;
+  plan.acquire_batch(&inst, 1);
   detail::ExecutionState& st = inst->exec_state();
   fill_plan_state(st, *sched_, plan, so, now_ns());
   if (plan.serial_lowered()) {
@@ -376,10 +362,6 @@ Execution Runtime::submit(const plan::GraphPlan& plan, const SubmitOptions& so) 
   }
   sched_->submit(st.job);
   return Execution(&st);
-}
-
-Execution Runtime::run(const plan::GraphPlan& plan) {
-  return run(plan, opts_.default_submit);
 }
 
 Execution Runtime::run(const plan::GraphPlan& plan, const SubmitOptions& so) {
@@ -490,11 +472,6 @@ BatchHandle Runtime::submit_batch(const plan::GraphPlan& plan,
   // Prvalue return: guaranteed copy elision constructs the (non-movable)
   // handle directly in the caller's storage.
   return BatchHandle(*this, plan, count, so);
-}
-
-BatchHandle Runtime::submit_batch(const plan::GraphPlan& plan,
-                                  std::size_t count) {
-  return BatchHandle(*this, plan, count, opts_.default_submit);
 }
 
 BatchHandle Runtime::submit_batch(const plan::GraphPlan& plan,

@@ -42,9 +42,6 @@ namespace nabbitc::plan {
 class GraphPlan;
 class PlanInstance;
 struct FrozenPlan;
-/// Mirrors plan::kPassAll (plan/plan.h) without pulling the header in —
-/// static_assert'd equal in runtime.cpp.
-inline constexpr std::uint32_t kAllCompilerPasses = (1u << 1) | (1u << 2);
 }  // namespace nabbitc::plan
 
 namespace nabbitc::api {
@@ -64,9 +61,6 @@ struct RuntimeOptions {
   /// Event tracing (src/trace/). Off by default — when off the hot paths
   /// pay a single null-pointer branch.
   trace::TraceConfig trace{};
-  /// Per-submission defaults used by the submit()/run() overloads that
-  /// take no SubmitOptions (priority kNormal, no deadline, unnamed).
-  SubmitOptions default_submit{};
 };
 
 namespace detail {
@@ -170,17 +164,14 @@ class Runtime {
   /// worker pool. Task-frame memory is epoch-segmented (see the memory
   /// contract in rt/scheduler.h): it recycles as submissions complete, so
   /// even continuous overlapping traffic runs at the busy period's
-  /// high-watermark (observable via arena_bytes()).
-  Execution submit(GraphSpec& spec, Key sink);
-
-  /// submit() with per-submission control: priority lane, absolute
-  /// deadline, diagnostic name (api/submit_options.h). The no-options
-  /// overloads use options().default_submit.
-  Execution submit(GraphSpec& spec, Key sink, const SubmitOptions& so);
+  /// high-watermark (observable via arena_bytes()). `so` gives
+  /// per-submission control: priority lane, absolute deadline, diagnostic
+  /// name (api/submit_options.h); the default is kNormal, no deadline,
+  /// unnamed.
+  Execution submit(GraphSpec& spec, Key sink, const SubmitOptions& so = {});
 
   /// submit() + wait(): runs the graph to completion.
-  Execution run(GraphSpec& spec, Key sink);
-  Execution run(GraphSpec& spec, Key sink, const SubmitOptions& so);
+  Execution run(GraphSpec& spec, Key sink, const SubmitOptions& so = {});
 
   /// Freezes (spec, sink) into a compiled GraphPlan bound to this runtime's
   /// variant (plan/plan.h): topology lowered to CSR arrays, colors
@@ -189,12 +180,13 @@ class Runtime {
   /// of it. Prefer plans over raw specs whenever the same graph is
   /// submitted repeatedly — replay submission does no graph construction
   /// and, once the instance pool is warm, no heap allocation.
-  /// `passes` selects the compiler's optimization passes (plan::kPass*);
-  /// the default runs them all. Disabling is for A/B benchmarking and the
-  /// per-pass fuzz matrix — results are bitwise identical either way.
-  std::unique_ptr<plan::GraphPlan> compile(
-      GraphSpec& spec, Key sink, std::size_t reserve_instances = 1,
-      std::uint32_t passes = plan::kAllCompilerPasses);
+  /// `tiny_lower` is plan::CompileOptions::tiny_lower: plans under
+  /// plan::kTinyGraphMaxNodes nodes replay inline on the submitting thread.
+  /// Turning it off is for A/B benchmarking and the fuzz matrix — results
+  /// are bitwise identical either way.
+  std::unique_ptr<plan::GraphPlan> compile(GraphSpec& spec, Key sink,
+                                           std::size_t reserve_instances = 1,
+                                           bool tiny_lower = true);
 
   /// Rebuilds a plan from persisted frozen arrays (src/persist/) instead of
   /// compiling: skips discovery/CSR/coloring/key-table work and goes
@@ -215,16 +207,12 @@ class Runtime {
   /// submit(plan.spec(), plan.sink()). Thread-safe; concurrent replays of
   /// one plan run on distinct instances. The plan must have been compiled
   /// for this runtime's variant (Runtime::compile guarantees that).
-  Execution submit(const plan::GraphPlan& plan);
-
-  /// Plan replay with per-submission control. Steady-state replay stays
-  /// allocation-free for any SubmitOptions value (lanes are fixed arrays;
-  /// the name is not copied).
-  Execution submit(const plan::GraphPlan& plan, const SubmitOptions& so);
+  /// Steady-state replay stays allocation-free for any SubmitOptions value
+  /// (lanes are fixed arrays; the name is not copied).
+  Execution submit(const plan::GraphPlan& plan, const SubmitOptions& so = {});
 
   /// submit(plan) + wait().
-  Execution run(const plan::GraphPlan& plan);
-  Execution run(const plan::GraphPlan& plan, const SubmitOptions& so);
+  Execution run(const plan::GraphPlan& plan, const SubmitOptions& so = {});
 
   /// Batched replay: submits `count` instances of `plan` as ONE scheduler
   /// batch — one pool checkout under one freelist lock, one lock-free
@@ -234,8 +222,7 @@ class Runtime {
   /// This is the high-throughput serving shape: at batch 32 the amortized
   /// per-replay submission cost drops by the batch factor. Thread-safe.
   BatchHandle submit_batch(const plan::GraphPlan& plan, std::size_t count,
-                           const SubmitOptions& so);
-  BatchHandle submit_batch(const plan::GraphPlan& plan, std::size_t count);
+                           const SubmitOptions& so = {});
   /// Per-item options (returned handle's item i follows items[i]).
   BatchHandle submit_batch(const plan::GraphPlan& plan,
                            std::span<const SubmitOptions> items);

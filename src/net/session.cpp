@@ -209,6 +209,38 @@ bool Session::handle_register(std::span<const std::uint8_t> body) {
   return send(FrameType::kRegistered, w);
 }
 
+bool Session::send_unknown_handle() {
+  ErrorMsg em;
+  em.code = static_cast<std::uint8_t>(ErrCode::kUnknownHandle);
+  em.message = "handle not registered on this server";
+  WireWriter w;
+  encode_error(em, w);
+  return send(FrameType::kError, w);
+}
+
+template <class Item>
+Session::InFlight& Session::stage_submission(std::uint64_t exec_id, Item& item,
+                                             const plan::GraphPlan* plan,
+                                             std::uint64_t t_admit_ns,
+                                             api::SubmitOptions& so) {
+  InFlight& rec = inflight_.try_emplace(exec_id).first->second;
+  rec.name = std::move(item.name);
+  rec.payload = item.payload;
+  rec.plan = plan;
+  rec.t_decode_ns = frame_t0_ns_;
+  rec.t_admit_ns = t_admit_ns;
+
+  so.priority = static_cast<api::Priority>(
+      item.priority <= 2 ? item.priority : 1);
+  if (item.deadline_rel_ns != 0) {
+    so.deadline_ns =
+        api::deadline_in(std::chrono::nanoseconds(item.deadline_rel_ns));
+  }
+  so.name = rec.name.empty() ? nullptr : rec.name.c_str();
+  so.sink = &waker_;
+  return rec;
+}
+
 bool Session::handle_submit(std::span<const std::uint8_t> body) {
   SubmitRequest req;
   std::string why;
@@ -217,15 +249,7 @@ bool Session::handle_submit(std::span<const std::uint8_t> body) {
     return false;
   }
   Server::SpecEntry* e = server_.find_spec(req.handle);
-  if (e == nullptr) {
-    // Client logic error, not stream corruption: answer and keep serving.
-    ErrorMsg em;
-    em.code = static_cast<std::uint8_t>(ErrCode::kUnknownHandle);
-    em.message = "handle not registered on this server";
-    WireWriter w;
-    encode_error(em, w);
-    return send(FrameType::kError, w);
-  }
+  if (e == nullptr) return send_unknown_handle();
 
   // Admission control: per-session cap first, then the global slot.
   const std::uint32_t session_cap = server_.opts_.max_inflight_per_session;
@@ -250,25 +274,12 @@ bool Session::handle_submit(std::span<const std::uint8_t> body) {
     return send(FrameType::kBusy, w);
   }
 
+  // Runtime::submit, not submit_batch: a serial-lowered plan then runs
+  // inline on this thread instead of taking a scheduler round trip.
   const std::uint64_t exec_id = server_.next_exec_id();
-  auto [it, inserted] = inflight_.try_emplace(exec_id);
-  InFlight& rec = it->second;
-  rec.name = std::move(req.name);
-  rec.payload = req.payload;
-  rec.plan = e->plan.get();
-  rec.t_decode_ns = frame_t0_ns_;
-  rec.t_admit_ns = obs::enabled() ? now_ns() : 0;
-
   api::SubmitOptions so;
-  so.priority = static_cast<api::Priority>(
-      req.priority <= 2 ? req.priority : 1);
-  if (req.deadline_rel_ns != 0) {
-    so.deadline_ns =
-        api::deadline_in(std::chrono::nanoseconds(req.deadline_rel_ns));
-  }
-  so.name = rec.name.empty() ? nullptr : rec.name.c_str();
-  so.sink = &waker_;
-
+  InFlight& rec = stage_submission(exec_id, req, e->plan.get(),
+                                   obs::enabled() ? now_ns() : 0, so);
   rec.t_submit_ns = now_ns();
   rec.exec = server_.runtime_.submit(*rec.plan, so);
   server_.submitted_.fetch_add(1, std::memory_order_relaxed);
@@ -288,14 +299,7 @@ bool Session::handle_submit_batch(std::span<const std::uint8_t> body) {
     return false;
   }
   Server::SpecEntry* e = server_.find_spec(req.handle);
-  if (e == nullptr) {
-    ErrorMsg em;
-    em.code = static_cast<std::uint8_t>(ErrCode::kUnknownHandle);
-    em.message = "handle not registered on this server";
-    WireWriter w;
-    encode_error(em, w);
-    return send(FrameType::kError, w);
-  }
+  if (e == nullptr) return send_unknown_handle();
 
   // Prefix admission: the session cap bounds first, then ONE grab at the
   // global counter covers the whole remainder (try_admit_global_n). The
@@ -323,32 +327,16 @@ bool Session::handle_submit_batch(std::span<const std::uint8_t> body) {
   }
 
   if (admitted != 0) {
-    // Records first: SubmitOptions::name borrows the stable string inside
-    // the InFlight node, exactly like the singleton path.
+    // Records first: each SubmitOptions::name borrows the stable string
+    // inside its InFlight node.
     m.exec_ids.reserve(admitted);
     const std::uint64_t t_admit = obs::enabled() ? now_ns() : 0;
     std::vector<InFlight*> recs(admitted);
     std::vector<api::SubmitOptions> sos(admitted);
     for (std::uint32_t i = 0; i < admitted; ++i) {
-      SubmitBatchItem& item = req.items[i];
       const std::uint64_t exec_id = server_.next_exec_id();
-      auto [it, inserted] = inflight_.try_emplace(exec_id);
-      InFlight& rec = it->second;
-      rec.name = std::move(item.name);
-      rec.payload = item.payload;
-      rec.plan = e->plan.get();
-      rec.t_decode_ns = frame_t0_ns_;
-      rec.t_admit_ns = t_admit;
-      recs[i] = &rec;
-      api::SubmitOptions& so = sos[i];
-      so.priority = static_cast<api::Priority>(
-          item.priority <= 2 ? item.priority : 1);
-      if (item.deadline_rel_ns != 0) {
-        so.deadline_ns =
-            api::deadline_in(std::chrono::nanoseconds(item.deadline_rel_ns));
-      }
-      so.name = rec.name.empty() ? nullptr : rec.name.c_str();
-      so.sink = &waker_;
+      recs[i] = &stage_submission(exec_id, req.items[i], e->plan.get(),
+                                  t_admit, sos[i]);
       m.exec_ids.push_back(exec_id);
     }
     const std::uint64_t t_submit = now_ns();

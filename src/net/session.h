@@ -89,6 +89,18 @@ class Session {
   bool handle_register(std::span<const std::uint8_t> body);
   bool handle_submit(std::span<const std::uint8_t> body);
   bool handle_submit_batch(std::span<const std::uint8_t> body);
+  /// Answers a SUBMIT or SUBMIT_BATCH naming a handle this server never
+  /// registered: a client logic error, not stream corruption, so the
+  /// session keeps serving.
+  bool send_unknown_handle();
+  /// Stages the InFlight record of one admitted wire item (a SubmitRequest
+  /// or a SubmitBatchItem, whose name it takes) and fills `so` for its
+  /// submission: priority clamped to a lane, relative deadline made
+  /// absolute, name borrowed from the record, completion sink waker_.
+  template <class Item>
+  InFlight& stage_submission(std::uint64_t exec_id, Item& item,
+                             const plan::GraphPlan* plan,
+                             std::uint64_t t_admit_ns, api::SubmitOptions& so);
   bool handle_status_req(std::span<const std::uint8_t> body);
   bool handle_cancel(std::span<const std::uint8_t> body);
   bool handle_metrics();

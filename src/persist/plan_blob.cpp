@@ -88,7 +88,6 @@ std::vector<std::uint8_t> serialize_plan(const plan::GraphPlan& plan,
   h.instance_slab_bytes = f.instance_slab_bytes;
   h.n_edges = static_cast<std::uint32_t>(f.pred_idx.size());
   h.spec_len = static_cast<std::uint32_t>(spec_bytes.size());
-  h.passes = f.passes;
   compute_layout(h);
 
   // Padding gaps are zeroed by the vector fill, so identical plans always
@@ -151,7 +150,6 @@ BlobError PlanBlobView::parse(std::span<const std::uint8_t> bytes) {
   if (hdr_.n == 0 || hdr_.n > (1u << 24)) return BlobError::kBadLayout;
   if (hdr_.n_edges > (1u << 28)) return BlobError::kBadLayout;
   if (hdr_.spec_len > (64u << 20)) return BlobError::kBadLayout;
-  if ((hdr_.passes & ~plan::kPassAll) != 0) return BlobError::kBadLayout;
 
   // Offsets are fully determined by the counts: recompute and require an
   // exact match, including the total.
@@ -191,7 +189,6 @@ plan::FrozenPlan PlanBlobView::frozen(std::shared_ptr<const void> backing) const
   f.pred_off = typed_section<std::uint32_t>(bytes_, hdr_, kSecPredOff);
   f.pred_idx = typed_section<std::uint32_t>(bytes_, hdr_, kSecPredIdx);
   f.instance_slab_bytes = hdr_.instance_slab_bytes;
-  f.passes = hdr_.passes;
   f.serial_lower = (hdr_.flags & kPlanBlobFlagSerialLowered) != 0;
   f.backing = std::move(backing);
   return f;

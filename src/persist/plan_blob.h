@@ -1,8 +1,8 @@
 // PlanBlob: the on-disk form of a compiled GraphPlan.
 //
-// A blob is one contiguous byte buffer: a fixed 120-byte POD header
+// A blob is one contiguous byte buffer: a fixed 112-byte POD header
 // followed by 4 dense, 8-byte-aligned sections holding what compile()
-// DECIDED — keys in layout order and the predecessor CSR (native byte
+// DECIDED — keys in plan index order and the predecessor CSR (native byte
 // order) — plus the canonical WireGraph spec bytes the plan was compiled
 // from. Everything derivable from those (colors, the schedule, the key
 // table) is rebuilt at load by plan::derive_frozen(), the same code
@@ -22,7 +22,7 @@
 //
 // Integrity is layered exactly like the wire codec's trust model:
 //   1. stamps   — magic/endian/version/ABI refuse foreign files cheaply;
-//   2. checksums — header_hash (FNV-1a over 120 bytes) + body_hash
+//   2. checksums — header_hash (FNV-1a over 112 bytes) + body_hash
 //      (bulk_hash_64, word-parallel so validation stays far cheaper than a
 //      recompile) catch torn writes and bit rot before any field is
 //      believed;
@@ -61,7 +61,10 @@ namespace nabbitc::persist {
 /// a v3 blob carries it and is refused rather than reinterpreted.
 /// v5: chain fusion is gone, and with it the unit partition (two sections)
 /// and the header's unit count; a plan dispatches nodes.
-inline constexpr std::uint32_t kPlanBlobVersion = 5;
+/// v6: the level-ordered layout is gone, and with it the header's pass
+/// mask and its padding word (120 -> 112 bytes); the serial-lowered flag
+/// is the one record of compile()'s lowering decision.
+inline constexpr std::uint32_t kPlanBlobVersion = 6;
 
 /// Written as a native u32; reads back byte-swapped on a foreign-endian
 /// machine, which is the detection.
@@ -94,11 +97,9 @@ struct PlanBlobHeader {
   std::uint64_t instance_slab_bytes;
   std::uint32_t n_edges;
   std::uint32_t spec_len;
-  std::uint32_t passes;         // kPass* mask compile() applied
-  std::uint32_t reserved;       // written 0; keeps the header 8-byte sized
   std::uint64_t section_off[kPlanBlobSections];  // from blob start
 };
-static_assert(sizeof(PlanBlobHeader) == 120, "on-disk header layout");
+static_assert(sizeof(PlanBlobHeader) == 112, "on-disk header layout");
 static_assert(sizeof(PlanBlobHeader) % 8 == 0);
 static_assert(std::is_trivially_copyable_v<PlanBlobHeader>);
 

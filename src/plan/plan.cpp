@@ -2,7 +2,6 @@
 // (the cold paths). The replay hot path lives in replay.cpp.
 #include "plan/plan.h"
 
-#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -134,23 +133,6 @@ PlanInstance* GraphPlan::build_instance() const {
   return raw;
 }
 
-PlanInstance* GraphPlan::acquire() const {
-  PlanInstance* inst = nullptr;
-  {
-    std::lock_guard<SpinLock> lk(pool_mu_);
-    inst = free_head_;
-    if (inst != nullptr) free_head_ = inst->pool_next_;
-  }
-  if (inst != nullptr) {
-    free_count_.fetch_sub(1, std::memory_order_relaxed);
-    inst->fresh_ = false;  // pure replay: no nodes created this submission
-  } else {
-    inst = build_instance();  // cold path; fresh_ = true from construction
-  }
-  inst->reset_for_replay();
-  return inst;
-}
-
 void GraphPlan::acquire_batch(PlanInstance** out, std::size_t n) const {
   std::size_t pooled = 0;
   {
@@ -216,9 +198,8 @@ struct DiscoveryLookup final : nabbit::NodeLookup {
 };
 
 /// Successor transpose of a predecessor CSR: row v lists every node that
-/// names v as a predecessor, once per edge, in ascending node order. The
-/// level analysis in compile() and the replay schedule in derive_frozen()
-/// both build theirs here.
+/// names v as a predecessor, once per edge, in ascending node order: the
+/// replay schedule derive_frozen() builds for compile() and restore().
 void build_successors(std::uint32_t n, std::span<const std::uint32_t> pred_off,
                       std::span<const std::uint32_t> pred_idx,
                       std::vector<std::uint32_t>& succ_off,
@@ -306,8 +287,7 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
     }
   }
 
-  // --- freeze topology into CSR arrays (discovery index space; the level
-  // order pass below may renumber everything).
+  // --- freeze topology into CSR arrays, in discovery index space.
   const auto n = static_cast<std::uint32_t>(nodes.size());
   auto st = std::make_shared<OwnedStorage>();
   OwnedStorage& s = *st;
@@ -326,86 +306,6 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
     }
   }
 
-  // --- optimization passes -------------------------------------------------
-  const std::uint32_t passes = opts.passes & kPassAll;
-
-  // Pass 1 — level-ordered layout. Renumber nodes level-major (topological
-  // level, then color, then discovery order) so notify-time successor scans
-  // touch neighbouring cache lines. The sink keeps index 0 (persisted
-  // invariant: keys[0] == sink_key). With the pass off, discovery order
-  // stands.
-  if ((passes & kPassLevelOrder) != 0) {
-    const auto pred_cnt = [&s](std::uint32_t v) {
-      return s.pred_off[v + 1] - s.pred_off[v];
-    };
-    std::vector<std::uint32_t> succ_off;
-    std::vector<std::uint32_t> succ_idx;
-    build_successors(n, s.pred_off, s.pred_idx, succ_off, succ_idx);
-
-    // Topological levels (Kahn over the frozen CSR): level[v] = longest
-    // root path.
-    std::vector<std::uint32_t> level(n, 0);
-    {
-      std::vector<std::uint32_t> pending(n);
-      std::vector<std::uint32_t> queue;
-      queue.reserve(n);
-      for (std::uint32_t v = 0; v < n; ++v) {
-        pending[v] = pred_cnt(v);
-        if (pending[v] == 0) queue.push_back(v);
-      }
-      std::size_t head = 0;
-      while (head < queue.size()) {
-        const std::uint32_t u = queue[head++];
-        for (std::uint32_t e = succ_off[u]; e < succ_off[u + 1]; ++e) {
-          const std::uint32_t v = succ_idx[e];
-          if (level[v] < level[u] + 1) level[v] = level[u] + 1;
-          if (--pending[v] == 0) queue.push_back(v);
-        }
-      }
-      NABBITC_CHECK_MSG(queue.size() == n, "cycle escaped discovery");
-    }
-
-    std::vector<std::uint32_t> order(n);
-    for (std::uint32_t v = 0; v < n; ++v) order[v] = v;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       if (level[a] != level[b]) return level[a] < level[b];
-                       const numa::Color ca = nodes[a]->color();
-                       const numa::Color cb = nodes[b]->color();
-                       if (ca != cb) return ca < cb;
-                       return a < b;
-                     });
-    std::vector<std::uint32_t> new_of(n);
-    std::uint32_t next = 1;
-    for (const std::uint32_t v : order) new_of[v] = (v == 0) ? 0 : next++;
-
-    // Apply the permutation to the node-space arrays (and the prototype's
-    // payload slots).
-    std::vector<Key> keys(n);
-    std::vector<std::uint32_t> pred_off(n + 1, 0);
-    std::vector<TaskGraphNode*> perm_nodes(n);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      const std::uint32_t nv = new_of[v];
-      keys[nv] = s.keys[v];
-      pred_off[nv + 1] = pred_cnt(v);
-      perm_nodes[nv] = nodes[v];
-    }
-    for (std::uint32_t i = 0; i < n; ++i) pred_off[i + 1] += pred_off[i];
-    std::vector<std::uint32_t> pred_idx(s.pred_idx.size());
-    for (std::uint32_t v = 0; v < n; ++v) {
-      std::uint32_t o = pred_off[new_of[v]];
-      // Predecessor declaration order is preserved (try_build compares it
-      // against the spec's answers slot by slot).
-      for (std::uint32_t e = s.pred_off[v]; e < s.pred_off[v + 1]; ++e) {
-        pred_idx[o++] = new_of[s.pred_idx[e]];
-      }
-    }
-    s.keys = std::move(keys);
-    s.pred_off = std::move(pred_off);
-    s.pred_idx = std::move(pred_idx);
-    nodes = std::move(perm_nodes);
-  }
-
   // --- publish the views, finalize the prototype as instance #0.
   FrozenPlan f;
   f.n = n;
@@ -413,11 +313,10 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
   f.pred_off = s.pred_off;
   f.pred_idx = s.pred_idx;
   f.instance_slab_bytes = proto->slab_.bytes_allocated();
-  f.passes = passes;
-  // Pass 2 — tiny-graph lowering: plans this small replay through the
-  // serial micro-interpreter on the submitting thread (see
+  // Tiny-graph lowering: plans this small replay through the serial
+  // micro-interpreter on the submitting thread (see
   // PlanInstance::run_serial), skipping TaskGroup/spawn entirely.
-  f.serial_lower = (passes & kPassTinyLower) != 0 && n < kTinyGraphMaxNodes;
+  f.serial_lower = opts.tiny_lower && n < kTinyGraphMaxNodes;
   // Discovery keys nodes through a map, so no key can repeat.
   const bool derived = derive_frozen(f, &spec, s.derived);
   NABBITC_CHECK_MSG(derived, "discovery produced a duplicate key");
@@ -529,9 +428,9 @@ std::unique_ptr<GraphPlan> restore(GraphSpec& spec, Key sink,
   auto plan = std::unique_ptr<GraphPlan>(new GraphPlan(spec, sink, opts));
   plan->f_ = std::move(f);
 
-  // No discovery, no passes: go straight to binding the spec's node
-  // factories against the frozen structure. try_build() re-derives the
-  // topology from the spec and refuses any disagreement, which is what
+  // No discovery, no lowering decision: go straight to binding the spec's
+  // node factories against the frozen structure. try_build() re-derives
+  // the topology from the spec and refuses any disagreement, which is what
   // lets callers hand restore() an artifact of unknown provenance.
   auto proto = std::unique_ptr<PlanInstance>(new PlanInstance(*plan));
   if (!proto->try_build()) return nullptr;

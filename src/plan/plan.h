@@ -10,12 +10,16 @@
 // anything) and lowers it into an immutable GraphPlan:
 //
 //   * topology frozen into CSR predecessor index arrays, plus the node
-//     successor transpose and join counts the replay dispatches over;
+//     successor transpose and join counts the replay dispatches over. Plan
+//     indices are discovery order: a DFS from the sink, so the sink is
+//     index 0; the roots are replayed in ascending index order;
 //   * per-node scheduling colors and true data colors (the NabbitC locality
 //     hints) precomputed;
 //   * the key -> node-index lookup frozen into an open-addressed table;
 //   * node payload layout measured, so every instance's nodes are laid out
-//     contiguously in one exactly-sized slab block.
+//     contiguously in one exactly-sized slab block;
+//   * tiny plans (CompileOptions::tiny_lower) marked for serial replay on
+//     the submitting thread.
 //
 // The frozen form is deliberately POD: every array lives behind a
 // FrozenPlan of read-only views, so a plan can be serialized to an on-disk
@@ -68,24 +72,10 @@ using nabbit::GraphSpec;
 using nabbit::Key;
 using nabbit::TaskGraphNode;
 
-// --- optimization passes (compile() runs them between discovery and freeze;
-// each is individually disableable through CompileOptions::passes, which is
-// what the per-pass fuzz matrix exercises).
-
-/// Level-ordered layout: renumber plan indices by topological level (ties
-/// broken by color, then discovery order) so a node's successors share
-/// cache lines at notify time. The sink stays index 0 regardless. Bit 0 is
-/// retired, so a persisted pass mask that sets it is refused on load.
-inline constexpr std::uint32_t kPassLevelOrder = 1u << 1;
-/// Tiny-graph lowering: plans with fewer than kTinyGraphMaxNodes nodes
-/// replay through a serial micro-interpreter on the submitting thread,
-/// skipping TaskGroup/spawn machinery entirely.
-inline constexpr std::uint32_t kPassTinyLower = 1u << 2;
-inline constexpr std::uint32_t kPassAll = kPassLevelOrder | kPassTinyLower;
-
-/// Node-count bound under which kPassTinyLower marks a plan for serial
-/// replay. Also the hard cap validate_frozen enforces on serial-lowered
-/// artifacts (the micro-interpreter's ready stack is sized by it).
+/// Node-count bound under which compile() marks a plan for serial replay
+/// (CompileOptions::tiny_lower). Also the hard cap validate_frozen enforces
+/// on serial-lowered artifacts (the micro-interpreter's ready stack is
+/// sized by it).
 inline constexpr std::uint32_t kTinyGraphMaxNodes = 32;
 
 struct CompileOptions {
@@ -97,17 +87,19 @@ struct CompileOptions {
   /// build more on demand (a heap-allocating cold path); pre-size this to
   /// the expected concurrent-replay depth for allocation-free serving.
   std::size_t reserve_instances = 1;
-  /// Bitmask of kPass* optimization passes to run. All passes preserve
-  /// bitwise result equality; disabling is for A/B benchmarking and the
-  /// per-pass fuzz matrix, not correctness.
-  std::uint32_t passes = kPassAll;
+  /// Tiny-graph lowering: plans with fewer than kTinyGraphMaxNodes nodes
+  /// replay through a serial micro-interpreter on the submitting thread,
+  /// skipping TaskGroup/spawn machinery entirely. Results are bitwise
+  /// identical either way; false keeps a tiny plan on the scheduler path
+  /// (A/B benchmarking, the fuzz matrix).
+  bool tiny_lower = true;
 };
 
 class GraphPlan;
 
 /// The immutable POD guts of a compiled plan, exposed as read-only views
 /// plus the type-erased storage that keeps them alive. The first group is
-/// what compile() DECIDED (discovery, the passes, the layout) —
+/// what compile() DECIDED (discovery order, tiny-graph lowering) —
 /// exactly what a PlanBlob persists (src/persist/), so on load those views
 /// point straight into the mapped file. The second group is DERIVED from
 /// the first (and the spec) by derive_frozen(), which compile() and
@@ -121,7 +113,6 @@ struct FrozenPlan {
   std::span<const std::uint32_t> pred_idx;
   /// Payload bytes one instance's nodes need (measured on the prototype).
   std::uint64_t instance_slab_bytes = 0;
-  std::uint32_t passes = 0;                   // kPass* mask applied
   bool serial_lower = false;                  // tiny-graph serial replay
 
   // --- derived by derive_frozen().
@@ -274,8 +265,6 @@ class GraphPlan {
   GraphPlan& operator=(const GraphPlan&) = delete;
 
   std::uint32_t num_nodes() const noexcept { return f_.n; }
-  /// kPass* mask the compiler actually applied to this plan.
-  std::uint32_t passes() const noexcept { return f_.passes; }
   /// True when replays run through the tiny-graph serial micro-interpreter
   /// (singleton submissions then complete inline on the submitting thread).
   bool serial_lowered() const noexcept { return f_.serial_lower; }
@@ -329,14 +318,12 @@ class GraphPlan {
     return metrics_hist_.load(std::memory_order_acquire);
   }
 
-  /// Pops a pooled instance (or builds one — the heap-allocating cold
-  /// path), reset and ready to submit. Thread-safe.
-  PlanInstance* acquire() const;
-  /// Batch checkout: fills out[0..n) with reset instances, popping as many
-  /// as possible under ONE freelist lock acquisition (the amortization the
-  /// submit_batch path exists for); any shortfall is built cold (heap-
-  /// allocating). Thread-safe. With a pool reserved >= n deep, steady-state
-  /// cost is one lock + n resets and zero allocations.
+  /// Instance checkout, for singleton (n = 1) and batched submission alike:
+  /// fills out[0..n) with reset instances, popping as many as possible
+  /// under ONE freelist lock acquisition (the amortization the submit_batch
+  /// path exists for); any shortfall is built cold (heap-allocating).
+  /// Thread-safe. With a pool reserved >= n deep, steady-state cost is one
+  /// lock + n resets and zero allocations.
   void acquire_batch(PlanInstance** out, std::size_t n) const;
   /// Returns an instance whose execution has fully completed.
   void release(PlanInstance* inst) const noexcept;
@@ -389,16 +376,16 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
                                    const CompileOptions& opts = {});
 
 /// Rebuilds a plan from previously persisted arrays (the persist load
-/// path): skips discovery and the optimization passes, re-derives the
-/// schedule, key table and colors with derive_frozen() against THIS spec
-/// (so colors follow the loading runtime's width), then builds instances —
-/// which re-binds the spec's node factories and cross-checks the spec
-/// against the frozen topology. Only f's persisted group is read; its
-/// views may point into a mapped blob (f.backing keeps it alive, and the
-/// derived arrays are owned next to it). Returns nullptr — never aborts —
-/// when validate_frozen() fails, keys[0] != sink, two nodes share a key, or
-/// the spec disagrees with the frozen structure (a stale or foreign
-/// artifact); callers fall back to compile().
+/// path): skips discovery (the lowering decision comes from the artifact),
+/// re-derives the schedule, key table and colors with derive_frozen()
+/// against THIS spec (so colors follow the loading runtime's width), then
+/// builds instances — which re-binds the spec's node factories and
+/// cross-checks the spec against the frozen topology. Only f's persisted
+/// group is read; its views may point into a mapped blob (f.backing keeps
+/// it alive, and the derived arrays are owned next to it). Returns nullptr
+/// — never aborts — when validate_frozen() fails, keys[0] != sink, two
+/// nodes share a key, or the spec disagrees with the frozen structure (a
+/// stale or foreign artifact); callers fall back to compile().
 /// Prefer the api::Runtime::restore_plan wrapper, which also refuses an
 /// artifact whose recorded options disagree with the runtime's variant.
 std::unique_ptr<GraphPlan> restore(GraphSpec& spec, Key sink,

@@ -21,9 +21,7 @@ void Workload::run_taskgraph(api::Runtime& rt, nabbit::ColoringMode coloring) {
 sim::TaskDag simulated_dag(Workload& w, std::uint32_t num_colors,
                            nabbit::ColoringMode coloring) {
   auto spec = w.make_taskgraph_spec(num_colors, coloring);
-  plan::CompileOptions opts;
-  opts.passes = 0;
-  const auto plan = plan::compile(*spec, w.taskgraph_sink(), opts);
+  const auto plan = plan::compile(*spec, w.taskgraph_sink());
   const plan::FrozenPlan& f = plan->frozen();
 
   // Keys encode each workload's iteration-major order, so ascending keys

@@ -83,7 +83,7 @@ class Workload {
 };
 
 /// The task graph the simulator runs: make_taskgraph_spec(num_colors,
-/// coloring) compiled with every plan pass off, nodes numbered by ascending
+/// coloring) compiled into a plan, nodes numbered by ascending
 /// Key, each node's work from node_cost(), its data color and scheduling
 /// hint from the spec, and its predecessors in declaration order. Needs no
 /// prepare().

@@ -537,8 +537,7 @@ TEST(SubmissionControl, WaitForTimesOutThenCancelDrainsQueuedReplay) {
   } one(&acc);
   // Tiny lowering disabled: this test is about a replay QUEUED behind a
   // blocker — an inline serial replay never enters the scheduler queue.
-  auto plan = rt.compile(one, 0, 1,
-                         plan::kPassAll & ~plan::kPassTinyLower);
+  auto plan = rt.compile(one, 0, 1, /*tiny_lower=*/false);
 
   Execution b = rt.submit(blocker, 1);
   Backoff backoff;

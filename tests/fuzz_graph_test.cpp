@@ -243,43 +243,37 @@ TEST_P(FuzzDag8, AllVariantsBitwiseEqualAndCancelInvariantsHold) {
     }
   }
 
-  // --- per-pass matrix: every seed also runs with each optimization pass
-  // individually disabled, proving checksum equality is per-pass, not just
-  // end-to-end. (Tiny lowering is inert at 48+ nodes but included so the
-  // mask plumbing itself is covered.)
+  // --- lowering off: every seed also compiles with tiny_lower = false,
+  // fresh and blob-restored. Lowering is inert at 48+ nodes, but the flag
+  // plumbing itself is covered.
   for (api::Runtime* rt : {&nb, &nc}) {
-    for (const std::uint32_t off :
-         {plan::kPassLevelOrder, plan::kPassTinyLower}) {
-      const std::uint32_t mask = plan::kPassAll & ~off;
-      SCOPED_TRACE("passes=0x" + std::to_string(mask));
-      auto plan = rt->compile(spec, dag.sink(), /*reserve_instances=*/1, mask);
-      EXPECT_EQ(plan->passes(), mask);
-      EXPECT_FALSE(plan->serial_lowered());
-      for (int round = 0; round < 2; ++round) {
-        dag.clear();
-        Execution e = rt->run(*plan);
-        EXPECT_EQ(e.nodes_computed(), dag.n) << round;
-        EXPECT_EQ(dag.checksum(), expected)
-            << "pass-disabled replay diverged, round " << round;
-      }
-      // Blob round-trip must preserve the pass-reduced layout bitwise too.
-      const auto blob = persist::serialize_plan(*plan, /*spec_bytes=*/{},
-                                                /*spec_hash=*/seed | 1);
-      auto backing = std::make_shared<std::vector<std::uint8_t>>(blob);
-      persist::PlanBlobView view;
-      ASSERT_EQ(view.parse({backing->data(), backing->size()}),
-                persist::BlobError::kOk);
-      auto restored = rt->restore_plan(spec, dag.sink(), view.frozen(backing),
-                                       view.colored());
-      ASSERT_NE(restored, nullptr);
-      EXPECT_EQ(restored->passes(), mask);
-      EXPECT_EQ(restored->num_nodes(), plan->num_nodes());
+    SCOPED_TRACE(variant_name(rt->variant()));
+    auto plan = rt->compile(spec, dag.sink(), /*reserve_instances=*/1,
+                            /*tiny_lower=*/false);
+    EXPECT_FALSE(plan->serial_lowered());
+    for (int round = 0; round < 2; ++round) {
       dag.clear();
-      Execution e = rt->run(*restored);
-      EXPECT_EQ(e.nodes_computed(), dag.n);
+      Execution e = rt->run(*plan);
+      EXPECT_EQ(e.nodes_computed(), dag.n) << round;
       EXPECT_EQ(dag.checksum(), expected)
-          << "pass-disabled restored-plan replay diverged";
+          << "unlowered replay diverged, round " << round;
     }
+    const auto blob = persist::serialize_plan(*plan, /*spec_bytes=*/{},
+                                              /*spec_hash=*/seed | 1);
+    auto backing = std::make_shared<std::vector<std::uint8_t>>(blob);
+    persist::PlanBlobView view;
+    ASSERT_EQ(view.parse({backing->data(), backing->size()}),
+              persist::BlobError::kOk);
+    auto restored = rt->restore_plan(spec, dag.sink(), view.frozen(backing),
+                                     view.colored());
+    ASSERT_NE(restored, nullptr);
+    EXPECT_FALSE(restored->serial_lowered());
+    EXPECT_EQ(restored->num_nodes(), plan->num_nodes());
+    dag.clear();
+    Execution e = rt->run(*restored);
+    EXPECT_EQ(e.nodes_computed(), dag.n);
+    EXPECT_EQ(dag.checksum(), expected)
+        << "unlowered restored-plan replay diverged";
   }
 
   // --- cancellation, plan path: cancel mid-flight at a seed-derived point.
@@ -463,7 +457,7 @@ TEST_P(FuzzTiny8, SerialLoweredInlineReplayMatchesSerialReference) {
 
     // Lowering disabled: same spec through the scheduler path, same bits.
     auto queued = rt->compile(spec, dag.sink(), /*reserve_instances=*/1,
-                              plan::kPassAll & ~plan::kPassTinyLower);
+                              /*tiny_lower=*/false);
     EXPECT_FALSE(queued->serial_lowered());
     dag.clear();
     Execution qe = rt->run(*queued);

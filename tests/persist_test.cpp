@@ -129,7 +129,6 @@ TEST(PlanBlob, RoundTripBitwise) {
   const plan::FrozenPlan b = p.view.frozen(p.bytes);
   EXPECT_EQ(a.n, b.n);
   EXPECT_EQ(a.instance_slab_bytes, b.instance_slab_bytes);
-  EXPECT_EQ(a.passes, b.passes);
   EXPECT_EQ(a.serial_lower, b.serial_lower);
   expect_span_eq(a.keys, b.keys, "keys");
   expect_span_eq(a.pred_off, b.pred_off, "pred_off");
@@ -239,9 +238,6 @@ TEST(PlanBlob, DistinctErrorsForEachRefusal) {
   EXPECT_EQ(doctored([](PlanBlobHeader& h) { h.abi ^= 0xff; }),
             BlobError::kBadAbi);
   EXPECT_EQ(doctored([](PlanBlobHeader& h) { h.flags |= 0x80; }),
-            BlobError::kBadLayout);
-  // Bit 0 of the pass mask belonged to the removed chain-fusion pass.
-  EXPECT_EQ(doctored([](PlanBlobHeader& h) { h.passes |= 1u; }),
             BlobError::kBadLayout);
   EXPECT_EQ(doctored([](PlanBlobHeader& h) { h.section_off[0] += 8; }),
             BlobError::kBadLayout);
@@ -515,18 +511,18 @@ TEST(PlanCache, RejectsCorruptFileAndRecovers) {
 
 // Every older artifact (v1 predates the optimization passes, v2 stored the
 // derived arrays, v3 carried a count-locality flag, v4 carried the fused-unit
-// partition) must be refused with the DISTINCT kBadVersion error — not a
-// generic corruption refusal — and the cache upgrade path must
-// transparently recompile over it. v3 is the sharp case: its count-locality
-// bit (1u << 1, set in every blob a runtime wrote) is the bit v4 gave
-// kPlanBlobFlagSerialLowered, so only the version gate
-// stops a v3 blob being misread. The stamp sits at the same offset in every
-// layout and the gate fires on it alone, so a doctored stamp exercises
+// partition, v5 carried the pass mask in a 120-byte header) must be refused
+// with the DISTINCT kBadVersion error — not a generic corruption refusal —
+// and the cache upgrade path must transparently recompile over it. v3 is the
+// sharp case: its count-locality bit (1u << 1, set in every blob a runtime
+// wrote) is the bit v4 gave kPlanBlobFlagSerialLowered, so only the version
+// gate stops a v3 blob being misread. The stamp sits at the same offset in
+// every layout and the gate fires on it alone, so a doctored stamp exercises
 // exactly the path a real old file takes.
 TEST(PlanCache, StaleVersionBlobRejectedAndRecompiled) {
   auto rt = make_runtime(Variant::kNabbitC);
   CompiledBlob c = compile_blob(rt, 0x51a1e, 64);
-  ASSERT_EQ(kPlanBlobVersion, 5u) << "add the new stale version's flags here";
+  ASSERT_EQ(kPlanBlobVersion, 6u) << "add the new stale version's flags here";
   const std::string dir = make_temp_dir();
 
   for (std::uint32_t version = 1; version < kPlanBlobVersion; ++version) {

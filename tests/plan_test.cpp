@@ -306,7 +306,7 @@ TEST(PlanCompile, ReserveInstancesPreBuildsPool) {
   EXPECT_EQ(plan->instances_built(), 3u);
 }
 
-// ------------------------------------------------------ optimization passes
+// ----------------------------------------------- layout, tiny-graph lowering
 
 /// Pure pipeline: node k depends only on k-1 (the whole graph is one
 /// fanout-1/fanin-1 run). Commutative accumulate, so the total is exactly
@@ -340,28 +340,22 @@ struct ChainSpec final : GraphSpec {
   }
 };
 
-TEST(PlanPasses, PipelineReplaysExactlyWithAndWithoutLevelOrder) {
+TEST(PlanCompile, PipelineReplaysExactly) {
   auto rt = make_runtime(Variant::kNabbitC);
   std::atomic<std::uint64_t> acc{0};
   ChainSpec spec(&acc, 64);  // above the tiny-lowering bound
   const std::uint64_t want = spec.expected_total();
 
-  // One node per level: the level-ordered layout and discovery order both
-  // give a 64-deep dependence chain, dispatched one node at a time.
-  for (const std::uint32_t passes :
-       {plan::kPassAll, plan::kPassAll & ~plan::kPassLevelOrder}) {
-    SCOPED_TRACE(passes);
-    auto p = rt.compile(spec, /*sink=*/63, /*reserve_instances=*/1, passes);
-    EXPECT_EQ(p->num_nodes(), 64u);
-    EXPECT_EQ(p->passes(), passes);
-    EXPECT_FALSE(p->serial_lowered());
-    EXPECT_EQ(p->index_of(63), 0u) << "sink must keep plan index 0";
-    for (int round = 0; round < 2; ++round) {
-      acc.store(0, std::memory_order_relaxed);
-      Execution e = rt.run(*p);
-      EXPECT_EQ(e.nodes_computed(), 64u);
-      EXPECT_EQ(acc.load(std::memory_order_relaxed), want);
-    }
+  // A 64-deep dependence chain, dispatched one node at a time.
+  auto p = rt.compile(spec, /*sink=*/63);
+  EXPECT_EQ(p->num_nodes(), 64u);
+  EXPECT_FALSE(p->serial_lowered());
+  EXPECT_EQ(p->index_of(63), 0u) << "sink must keep plan index 0";
+  for (int round = 0; round < 2; ++round) {
+    acc.store(0, std::memory_order_relaxed);
+    Execution e = rt.run(*p);
+    EXPECT_EQ(e.nodes_computed(), 64u);
+    EXPECT_EQ(acc.load(std::memory_order_relaxed), want);
   }
 }
 
@@ -377,10 +371,9 @@ TEST(PlanPasses, TinyGraphLoweringTracksSizeBoundAndMask) {
   EXPECT_TRUE(e.done()) << "lowered submit must complete inline";
   EXPECT_EQ(acc.load(std::memory_order_relaxed), tiny_spec.expected_total());
 
-  // Same spec with the pass masked off: scheduler path, not lowered.
+  // Same spec with lowering turned off: scheduler path, not lowered.
   auto queued = rt.compile(tiny_spec, plan::kTinyGraphMaxNodes - 2,
-                           /*reserve_instances=*/1,
-                           plan::kPassAll & ~plan::kPassTinyLower);
+                           /*reserve_instances=*/1, /*tiny_lower=*/false);
   EXPECT_FALSE(queued->serial_lowered());
 
   // Exactly AT the bound: not lowered.
@@ -513,16 +506,15 @@ void expect_small_graph_replays(Runtime& rt, ListSpec& shape) {
   shape.order.clear();
   rt.run(shape, sink);
   EXPECT_TRUE(shape.ran_in_dependence_order()) << "fresh";
-  for (const std::uint32_t passes :
-       {plan::kPassAll, plan::kPassAll & ~plan::kPassTinyLower}) {
-    auto small = rt.compile(shape, sink, 1, passes);
+  for (const bool tiny_lower : {true, false}) {
+    auto small = rt.compile(shape, sink, 1, tiny_lower);
     EXPECT_EQ(small->num_nodes(), shape.preds.size());
     for (int round = 0; round < 2; ++round) {
       shape.order.clear();
       Execution e = rt.run(*small);
       EXPECT_EQ(e.status().state, ExecStatus::kCompleted);
       EXPECT_TRUE(shape.ran_in_dependence_order())
-          << "passes " << passes << " round " << round;
+          << "tiny_lower " << tiny_lower << " round " << round;
     }
   }
 }

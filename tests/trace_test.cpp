@@ -299,8 +299,7 @@ TEST(Collector, CancelledRootEmitsCancelEventMatchingCounters) {
   // Tiny lowering disabled: this test asserts the SCHEDULER's terminal
   // cancel accounting (worker counters + kCancel trace events), which an
   // inline serial replay never reaches by design.
-  auto plan = rt.compile(spec, 0, 1,
-                         plan::kPassAll & ~plan::kPassTinyLower);
+  auto plan = rt.compile(spec, 0, 1, /*tiny_lower=*/false);
 
   {
     api::Execution e = rt.submit(*plan);

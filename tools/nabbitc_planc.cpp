@@ -84,7 +84,7 @@ void print_info(const persist::PlanBlobView& view, const plan::FrozenPlan& f) {
   std::printf("  nodes=%u edges=%u sink_key=%" PRIu64 " slab_bytes=%" PRIu64
               "\n",
               h.n, h.n_edges, h.sink_key, h.instance_slab_bytes);
-  std::printf("  roots=%zu passes=0x%x\n", f.roots.size(), h.passes);
+  std::printf("  roots=%zu\n", f.roots.size());
   const auto spec = view.spec_bytes();
   if (spec.empty()) {
     std::printf("  spec: (none — generic blob, functions not re-bindable)\n");
