@@ -71,8 +71,7 @@ class BatchHandle {
 
   /// Returns once every item reached a terminal state. External threads
   /// park at most once (completion coalescing); worker threads help run
-  /// pool work instead of blocking, like Execution::wait(). Waiters police
-  /// the batch's own deadlines. Idempotent.
+  /// pool work instead of blocking, like Execution::wait(). Idempotent.
   void wait_all();
   /// True once every item is terminal (racy peek; wait_all to synchronize).
   bool all_done() const noexcept;

@@ -262,9 +262,10 @@ Execution Runtime::submit(GraphSpec& spec, Key sink, const SubmitOptions& so) {
   // The variant picks the spawn shape here and picked the steal policy at
   // construction — one switch, so they cannot disagree.
   eo.colored = opts_.variant == Variant::kNabbitC;
-  // The executor polls this execution's own cancel word on node dispatch;
-  // the job lives in the same ExecutionState, so the address is stable.
-  eo.cancel = &st->job.cancel;
+  // The executor checks this execution's own job on node dispatch (cancel
+  // word and deadline); the job lives in the same ExecutionState, so the
+  // address is stable.
+  eo.job = &st->job;
   st->exec = std::make_unique<nabbit::DynamicExecutor>(spec, eo);
   st->t_submit_ns = now_ns();
   detail::ExecutionState* raw = st.get();
@@ -425,7 +426,7 @@ BatchHandle::~BatchHandle() {
 
 void BatchHandle::wait_all() {
   if (waited_ || n_ == 0) return;  // empty/default handles have no sched_
-  sched_->wait_batch(jobs_, n_, sync_);
+  sched_->wait_batch(sync_);
   waited_ = true;
 }
 

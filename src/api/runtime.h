@@ -128,7 +128,7 @@ class Execution {
 
   /// When a worker adopted this execution's root (the queue-wait boundary
   /// in the slow-request stage breakdown). 0 when metrics are disabled or
-  /// the root was never adopted (e.g. deadline-expired in the lane).
+  /// the root was never adopted (a tiny-lowered plan that ran inline).
   std::uint64_t first_dispatch_time_ns() const;
 
   /// The slice of a collected trace that overlaps this execution's

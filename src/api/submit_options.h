@@ -14,9 +14,10 @@
 //   * deadline_ns is an absolute now_ns() instant. Once it passes, the
 //     execution is cancelled cooperatively with reason kDeadlineExceeded:
 //     in-flight node computes finish, everything not yet started is
-//     skipped. Deadlines are policed at cold scheduler boundaries (root
-//     adoption/completion and waiters' timed sleeps), never on the steal
-//     hot path.
+//     skipped. The execution checks its own deadline at adoption and at
+//     each node dispatch (one clock read per node, only when a deadline is
+//     set), so it expires with or without a waiter and never costs the
+//     steal loop anything.
 //   * name is an optional label for diagnostics; the string is NOT copied
 //     (keeping the default submit path allocation-free) and must outlive
 //     the execution. nullptr = unnamed.

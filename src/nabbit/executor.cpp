@@ -75,11 +75,12 @@ void DynamicExecutor::release_token(rt::Worker& w, TaskGraphNode* u) {
 }
 
 void DynamicExecutor::compute_and_notify(rt::Worker& w, TaskGraphNode* u) {
-  // One cancellation check per node dispatch. Skipped nodes keep status
-  // kVisited (they were never computed) but still notify successors below,
-  // so join counters drain, every spawned group syncs, and the root
-  // returns — the skip cascades through the rest of the graph.
-  const bool skip = cancel_requested();
+  // One cancellation check per node dispatch; it also expires a passed
+  // deadline. Skipped nodes keep status kVisited (they were never computed)
+  // but still notify successors below, so join counters drain, every
+  // spawned group syncs, and the root returns — the skip cascades through
+  // the rest of the graph.
+  const bool skip = opts_.job != nullptr && opts_.job->should_skip();
 #ifndef NDEBUG
   // Protocol invariant: a node computes only after all predecessors have.
   // (A skipped predecessor implies the cancel word was set before its

@@ -39,13 +39,13 @@ class DynamicExecutor : public NodeLookup {
     /// advertised color masks. False = vanilla Nabbit list-order spawning.
     /// api::Runtime::submit derives this from the runtime's variant.
     bool colored = true;
-    /// Cooperative-cancellation token — the owning RootJob's cancel word
-    /// (rt::Scheduler::RootJob::cancel); null = never cancelled. Polled
-    /// once per node dispatch (one atomic load, no clock). Once set,
-    /// not-yet-started nodes are skipped: their compute() never runs, but
-    /// successor notification still drains so every spawn syncs and the
-    /// root returns promptly.
-    const std::atomic<std::uint8_t>* cancel = nullptr;
+    /// The owning root job, whose cancel word and deadline stop this
+    /// execution; null = never cancelled. Checked once per node dispatch
+    /// (RootJob::should_skip: one atomic load, plus one clock read when a
+    /// deadline is armed). Once the job is cancelled, not-yet-started nodes
+    /// are skipped: their compute() never runs, but successor notification
+    /// still drains so every spawn syncs and the root returns promptly.
+    rt::Scheduler::RootJob* job = nullptr;
   };
 
   DynamicExecutor(GraphSpec& spec, Options opts);
@@ -77,13 +77,14 @@ class DynamicExecutor : public NodeLookup {
     return nodes_skipped_.load(std::memory_order_relaxed);
   }
 
-  /// True once this execution's cancellation token fired. Monotone for the
-  /// duration of one run, which is what makes the skip protocol safe: a
-  /// non-skipped node can never observe a skipped predecessor (the
-  /// predecessor's skip happened-before our dispatch check).
+  /// True once this execution's job was cancelled — by a client, or by a
+  /// node dispatch that found the deadline passed (should_skip sets the
+  /// word before skipping anything). Monotone for the duration of one run,
+  /// which is what makes the skip protocol safe: a non-skipped node can
+  /// never observe a skipped predecessor (the predecessor's skip
+  /// happened-before our dispatch check). Discovery reads only this word.
   bool cancel_requested() const noexcept {
-    return opts_.cancel != nullptr &&
-           opts_.cancel->load(std::memory_order_acquire) != 0;
+    return opts_.job != nullptr && opts_.job->cancel_requested();
   }
 
  private:

@@ -227,6 +227,10 @@ bool decode_submit(std::span<const std::uint8_t> body, SubmitRequest& out,
     set_err(err, "submit: priority out of range");
     return false;
   }
+  if (out.deadline_rel_ns > kMaxDeadlineRelNs) {
+    set_err(err, "submit: deadline out of range");
+    return false;
+  }
   if (out.name.size() > kMaxNameLen) {
     set_err(err, "submit: name too long");
     return false;
@@ -266,6 +270,10 @@ bool decode_submit_batch(std::span<const std::uint8_t> body,
     }
     if (item.priority > 2) {
       set_err(err, "submit_batch: priority out of range");
+      return false;
+    }
+    if (item.deadline_rel_ns > kMaxDeadlineRelNs) {
+      set_err(err, "submit_batch: deadline out of range");
       return false;
     }
     if (item.name.size() > kMaxNameLen) {

@@ -36,6 +36,10 @@ inline constexpr std::uint32_t kMaxWireNodes = 50000;
 inline constexpr std::uint32_t kMaxWirePreds = 16;
 inline constexpr std::uint32_t kMaxNodeSpinNs = 10'000'000;  // 10 ms/node
 inline constexpr std::size_t kMaxNameLen = 64;
+/// Longest relative deadline a SUBMIT or SUBMIT_BATCH item may carry (24 h,
+/// enforced by the decoders). Larger values would not fit the signed
+/// nanosecond count the server builds its absolute deadline from.
+inline constexpr std::uint64_t kMaxDeadlineRelNs = 86'400'000'000'000ull;
 
 // ---------------------------------------------------------------------------
 // The graph wire form.
@@ -125,8 +129,9 @@ struct SubmitRequest {
   std::uint64_t handle = 0;
   std::uint64_t payload = 0;
   std::uint8_t priority = 1;  // api::Priority value: 0 high, 1 normal, 2 low
-  /// Deadline relative to server receipt, in ns; 0 = none. Relative so
-  /// client and server clocks never need to agree.
+  /// Deadline relative to server receipt, in ns; 0 = none, at most
+  /// kMaxDeadlineRelNs. Relative so client and server clocks never need to
+  /// agree.
   std::uint64_t deadline_rel_ns = 0;
   std::string name;  // <= kMaxNameLen; empty = unnamed
 };

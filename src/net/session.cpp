@@ -218,6 +218,18 @@ bool Session::send_unknown_handle() {
   return send(FrameType::kError, w);
 }
 
+bool Session::send_busy(BusyScope scope, std::uint32_t in_flight,
+                        std::uint32_t limit) {
+  server_.rejected_busy_.fetch_add(1, std::memory_order_relaxed);
+  BusyMsg m;
+  m.scope = static_cast<std::uint8_t>(scope);
+  m.in_flight = in_flight;
+  m.limit = limit;
+  WireWriter w;
+  encode_busy(m, w);
+  return send(FrameType::kBusy, w);
+}
+
 template <class Item>
 Session::InFlight& Session::stage_submission(std::uint64_t exec_id, Item& item,
                                              const plan::GraphPlan* plan,
@@ -232,6 +244,8 @@ Session::InFlight& Session::stage_submission(std::uint64_t exec_id, Item& item,
 
   so.priority = static_cast<api::Priority>(
       item.priority <= 2 ? item.priority : 1);
+  // The decoders bound deadline_rel_ns by kMaxDeadlineRelNs, so the signed
+  // nanosecond count cannot wrap negative (which would expire at once).
   if (item.deadline_rel_ns != 0) {
     so.deadline_ns =
         api::deadline_in(std::chrono::nanoseconds(item.deadline_rel_ns));
@@ -254,24 +268,14 @@ bool Session::handle_submit(std::span<const std::uint8_t> body) {
   // Admission control: per-session cap first, then the global slot.
   const std::uint32_t session_cap = server_.opts_.max_inflight_per_session;
   if (inflight_.size() >= session_cap) {
-    server_.rejected_busy_.fetch_add(1, std::memory_order_relaxed);
-    BusyMsg m;
-    m.scope = static_cast<std::uint8_t>(BusyScope::kSession);
-    m.in_flight = static_cast<std::uint32_t>(inflight_.size());
-    m.limit = session_cap;
-    WireWriter w;
-    encode_busy(m, w);
-    return send(FrameType::kBusy, w);
+    return send_busy(BusyScope::kSession,
+                     static_cast<std::uint32_t>(inflight_.size()),
+                     session_cap);
   }
   if (!server_.try_admit_global()) {
-    server_.rejected_busy_.fetch_add(1, std::memory_order_relaxed);
-    BusyMsg m;
-    m.scope = static_cast<std::uint8_t>(BusyScope::kGlobal);
-    m.in_flight = server_.global_inflight_.load(std::memory_order_relaxed);
-    m.limit = server_.opts_.max_inflight_global;
-    WireWriter w;
-    encode_busy(m, w);
-    return send(FrameType::kBusy, w);
+    return send_busy(BusyScope::kGlobal,
+                     server_.global_inflight_.load(std::memory_order_relaxed),
+                     server_.opts_.max_inflight_global);
   }
 
   // Runtime::submit, not submit_batch: a serial-lowered plan then runs

@@ -93,6 +93,10 @@ class Session {
   /// registered: a client logic error, not stream corruption, so the
   /// session keeps serving.
   bool send_unknown_handle();
+  /// Refuses one SUBMIT with a BUSY reply naming the admission cap that
+  /// said no, and counts the rejection.
+  bool send_busy(BusyScope scope, std::uint32_t in_flight,
+                 std::uint32_t limit);
   /// Stages the InFlight record of one admitted wire item (a SubmitRequest
   /// or a SubmitBatchItem, whose name it takes) and fills `so` for its
   /// submission: priority clamped to a lane, relative deadline made

@@ -92,10 +92,12 @@ void PlanInstance::run_root(rt::Worker& w) {
 
 void PlanInstance::execute_node(rt::Worker* w, std::uint32_t index) {
   const GraphPlan& p = *plan_;
-  // One cancellation check per node (the embedded RootJob's cancel word; no
-  // clock). A skipped node never runs compute() and keeps status kVisited,
-  // but its caller still notifies successors so the replay drains.
-  if (state_.job.cancel_requested()) {
+  // One cancellation check per node (the embedded RootJob's cancel word,
+  // plus a clock read when a deadline is armed — a passed one cancels the
+  // job here). A skipped node never runs compute() and keeps status
+  // kVisited, but its caller still notifies successors so the replay
+  // drains.
+  if (state_.job.should_skip()) {
     skipped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -184,12 +186,6 @@ void PlanInstance::run_inline() {
   job.done.store(false, std::memory_order_relaxed);
   job.cancel.store(0, std::memory_order_relaxed);
   job.batch = nullptr;
-  if (job.deadline_ns != 0 && now_ns() >= job.deadline_ns) {
-    // Born expired: same cooperative skip cascade the scheduler applies at
-    // adoption — every node retires as skipped, status_of reports
-    // kDeadlineExceeded.
-    job.try_cancel(rt::CancelReason::kDeadline);
-  }
   run_serial(nullptr);
   NABBITC_CHECK_MSG(
       computed_.load(std::memory_order_relaxed) +

@@ -123,8 +123,6 @@ Scheduler::Scheduler(SchedulerConfig cfg) : cfg_(cfg) {
     obs::Registry& reg = obs::registry();
     obs_.dispatch_ns = &reg.histogram("sched_dispatch_ns");
     obs_.park_ns = &reg.histogram("sched_park_ns");
-    obs_.deadline_sweeps = &reg.counter("sched_deadline_sweeps_total");
-    obs_.deadline_expired = &reg.counter("sched_deadline_expired_total");
     obs_.tasks = &reg.counter("sched_tasks_total");
     obs_.spawns = &reg.counter("sched_spawns_total");
     obs_.steals_colored = &reg.counter("sched_steals_colored_total");
@@ -200,8 +198,6 @@ void Scheduler::submit_batch(RootJob* const* jobs, std::size_t n,
   // reversal at splice (see rt/submit_ring.h) then restores array order.
   RootJob* chain_head[kNumLanes] = {};  // newest element of each chain
   RootJob* chain_tail[kNumLanes] = {};  // oldest element of each chain
-  std::uint32_t deadline_count = 0;
-  std::uint64_t min_deadline = 0;
   // One clock read covers the whole batch's dispatch-latency stamps (and
   // none at all with metrics disabled) — the producer path stays as
   // clock-free as the steal loop demands.
@@ -220,12 +216,6 @@ void Scheduler::submit_batch(RootJob* const* jobs, std::size_t n,
     job.cancel.store(0, std::memory_order_relaxed);
     job.batch = sync;
     if (job.sink != nullptr) job.sink->job_submitted();
-    if (job.deadline_ns != 0) {
-      ++deadline_count;
-      if (min_deadline == 0 || job.deadline_ns < min_deadline) {
-        min_deadline = job.deadline_ns;
-      }
-    }
     job.next = chain_head[job.lane];
     chain_head[job.lane] = &job;
     if (chain_tail[job.lane] == nullptr) chain_tail[job.lane] = &job;
@@ -248,41 +238,12 @@ void Scheduler::submit_batch(RootJob* const* jobs, std::size_t n,
   // Publish: one CAS per distinct lane. From the first push on, `jobs` may
   // be adopted, finished, and freed by waiters (batch jobs only after
   // sync->remaining drains — see RootJob::batch).
-  const auto publish = [&] {
-    for (std::uint32_t l = 0; l < kNumLanes; ++l) {
-      if (chain_head[l] != nullptr) {
-        lanes_[l].inbox.push_chain(chain_head[l], chain_tail[l]);
-      }
-    }
-  };
-  bool lowered_deadline_horizon = false;
-  if (deadline_count == 0) {
-    publish();
-  } else {
-    // Deadline batches publish and arm inside ONE mu_ critical section, so
-    // no consumer can observe half the story: a sweep between arming and
-    // publishing would recompute next_deadline_ns_ without these jobs and
-    // lose the horizon; a completion between publishing and arming would
-    // drive the deadline_jobs_ gate transiently below zero (adoption,
-    // sweeps, and completion all hold mu_, so neither can interleave
-    // here). Arming stays a producer duty — the gate and the waiters'
-    // wake horizon never lag the submission — and the common no-deadline
-    // serving path above stays lock-free.
-    std::lock_guard<std::mutex> lk(mu_);
-    publish();
-    deadline_jobs_ += deadline_count;
-    if (next_deadline_ns_ == 0 || min_deadline < next_deadline_ns_) {
-      next_deadline_ns_ = min_deadline;
-      lowered_deadline_horizon = true;
+  for (std::uint32_t l = 0; l < kNumLanes; ++l) {
+    if (chain_head[l] != nullptr) {
+      lanes_[l].inbox.push_chain(chain_head[l], chain_tail[l]);
     }
   }
   wake_workers();
-  // A deadline EARLIER than every armed one changes parked waiters' wake
-  // horizon (they may be in an untimed or too-late sleep); nudge them so
-  // they re-derive it. Later deadlines need no nudge — waiters already
-  // wake no later than the current horizon, and every root completion
-  // notifies cv_done_ anyway.
-  if (lowered_deadline_horizon) cv_done_.notify_all();
 }
 
 void Scheduler::wake_workers() noexcept {
@@ -299,18 +260,6 @@ void Scheduler::wake_workers() noexcept {
   // passing through the mutex, then wake everyone.
   { std::lock_guard<std::mutex> lk(mu_); }
   cv_start_.notify_all();
-}
-
-void Scheduler::maybe_expire_deadlines_locked() {
-  // Sweep only when a deadline can actually have passed: next_deadline_ns_
-  // is the earliest unexpired deadline as of the last sweep (0 = none, or
-  // every armed one already fired), and submit() min-updates it — so a
-  // future value proves the whole active list has nothing to expire, and
-  // the O(active) walk is skipped on the common adoption/completion path.
-  if (deadline_jobs_ == 0 || next_deadline_ns_ == 0) return;
-  const std::uint64_t now = now_ns();
-  if (now < next_deadline_ns_) return;
-  expire_deadlines_locked(now);
 }
 
 void Scheduler::splice_inboxes_locked() {
@@ -344,41 +293,11 @@ void Scheduler::splice_inboxes_locked() {
   }
 }
 
-void Scheduler::expire_deadlines_locked(std::uint64_t now) {
-  // The sweep walks the active list, so adopt everything still sitting in
-  // the submit rings first — a job whose deadline passed while queued must
-  // be policed exactly like it was when submit() filled the FIFO directly.
-  splice_inboxes_locked();
-  obs_.deadline_sweeps->inc();
-  if (deadline_jobs_ == 0) {
-    next_deadline_ns_ = 0;
-    return;
-  }
-  std::uint64_t next = 0;
-  std::uint64_t expired = 0;
-  for (RootJob* j = active_head_; j != nullptr; j = j->active_next) {
-    if (j->deadline_ns == 0) continue;
-    if (now >= j->deadline_ns) {
-      // First writer wins: a client cancel() that already landed keeps its
-      // reason. The executors' dispatch checks do the actual skipping.
-      if (j->try_cancel(CancelReason::kDeadline)) ++expired;
-    } else if (next == 0 || j->deadline_ns < next) {
-      next = j->deadline_ns;
-    }
-  }
-  if (expired != 0) obs_.deadline_expired->add(expired);
-  next_deadline_ns_ = next;
-}
-
 Scheduler::RootJob* Scheduler::pop_root() {
   std::lock_guard<std::mutex> lk(mu_);
   // This worker is the consumer: splice everything producers pushed since
   // the last pop into the lane FIFOs (one drain per lane, whole chains).
   splice_inboxes_locked();
-  // Adoption is a cold boundary: police deadlines here so a root whose
-  // deadline passed while queued is adopted already-cancelled and drains as
-  // a cheap skip cascade instead of running.
-  maybe_expire_deadlines_locked();
   // Prefer the highest non-empty lane...
   std::uint32_t pick = kNumLanes;
   for (std::uint32_t i = 0; i < kNumLanes; ++i) {
@@ -423,10 +342,6 @@ bool Scheduler::finish_root(RootJob& job) {
   if (last) quiescent_gen_.fetch_add(1, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (job.deadline_ns != 0) --deadline_jobs_;
-    // Completion is the other cold boundary that polices deadlines (a pool
-    // saturated with long jobs still checks once per completion).
-    maybe_expire_deadlines_locked();
     // Unlink from the active list and advance the reclamation watermark:
     // all frames of epochs <= min(active) - 1 are now dead.
     if (job.active_prev != nullptr) {
@@ -491,28 +406,20 @@ bool Scheduler::wait_until(const RootJob& job, std::uint64_t deadline_ns) {
 }
 
 bool Scheduler::wait_impl(const RootJob& job, std::uint64_t wait_deadline_ns) {
-  const bool deadline_sensitive =
-      wait_deadline_ns != 0 || job.deadline_ns != 0;
   if (Worker* w = current()) {
     // A worker must not block on a condition variable mid-job: it helps
     // instead, stealing and adopting queued roots (possibly `job` itself)
     // until the waited job completes. This is what makes submit()+wait()
     // usable from inside a running task, even on a single-worker pool.
-    // A deadline-sensitive wait checks the clock once per loop iteration —
-    // after every helped task or adopted root too, or a saturated pool
-    // (try_progress succeeding indefinitely) would keep a timed wait from
-    // ever observing its timeout. The plain wait() path stays clock-free.
+    // A timed wait checks the clock once per loop iteration — after every
+    // helped task or adopted root too, or a saturated pool (try_progress
+    // succeeding indefinitely) would keep it from ever observing its
+    // timeout. The plain wait() path stays clock-free.
     Backoff backoff;
     while (!job.done.load(std::memory_order_acquire)) {
       const bool progressed = try_progress(*w);
-      if (deadline_sensitive) {
-        const std::uint64_t now = now_ns();
-        if (job.deadline_ns != 0 && now >= job.deadline_ns) {
-          const_cast<RootJob&>(job).try_cancel(CancelReason::kDeadline);
-        }
-        if (wait_deadline_ns != 0 && now >= wait_deadline_ns) {
-          return job.done.load(std::memory_order_acquire);
-        }
+      if (wait_deadline_ns != 0 && now_ns() >= wait_deadline_ns) {
+        return job.done.load(std::memory_order_acquire);
       }
       if (progressed) {
         backoff.reset();
@@ -535,70 +442,28 @@ bool Scheduler::wait_impl(const RootJob& job, std::uint64_t wait_deadline_ns) {
     if (job.done.load(std::memory_order_acquire)) return true;
     backoff.pause();
   }
+  const auto done = [&] { return job.done.load(std::memory_order_acquire); };
   std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    if (job.done.load(std::memory_order_acquire)) return true;
-    // Earliest instant this waiter must wake at: its own timeout, or the
-    // earliest armed deadline anywhere (a parked external waiter is the
-    // boundary that expires deadlines when every worker is busy running).
-    std::uint64_t wake = wait_deadline_ns;
-    if (deadline_jobs_ > 0) {
-      expire_deadlines_locked(now_ns());
-      if (next_deadline_ns_ != 0 &&
-          (wake == 0 || next_deadline_ns_ < wake)) {
-        wake = next_deadline_ns_;
-      }
-    }
-    if (wake == 0) {
-      cv_done_.wait(lk);
-      continue;
-    }
-    const auto wake_tp = std::chrono::steady_clock::time_point(
-        std::chrono::nanoseconds(wake));
-    if (cv_done_.wait_until(lk, wake_tp) == std::cv_status::timeout &&
-        wait_deadline_ns != 0 && now_ns() >= wait_deadline_ns) {
-      if (deadline_jobs_ > 0) expire_deadlines_locked(now_ns());
-      return job.done.load(std::memory_order_acquire);
-    }
+  if (wait_deadline_ns == 0) {
+    cv_done_.wait(lk, done);
+    return true;
   }
+  return cv_done_.wait_until(lk,
+                             std::chrono::steady_clock::time_point(
+                                 std::chrono::nanoseconds(wait_deadline_ns)),
+                             done);
 }
 
-void Scheduler::wait_batch(RootJob* const* jobs, std::size_t n,
-                           BatchSync& sync) {
-  // Police only this batch's deadlines: the scheduler-global boundaries
-  // (adoption, completion, per-job waiters) keep covering everything else,
-  // and scanning our own n jobs is what keeps this waiter parked on the
-  // batch cv instead of the global cv_done_.
-  bool deadline_sensitive = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (jobs[i]->deadline_ns != 0) {
-      deadline_sensitive = true;
-      break;
-    }
-  }
-  // Expires every passed deadline in the batch; returns the earliest
-  // still-pending instant (0 = none left to police).
-  const auto police = [&](std::uint64_t now) -> std::uint64_t {
-    std::uint64_t next = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      RootJob& job = *jobs[i];
-      if (job.deadline_ns == 0) continue;
-      if (now >= job.deadline_ns) {
-        job.try_cancel(CancelReason::kDeadline);
-      } else if (next == 0 || job.deadline_ns < next) {
-        next = job.deadline_ns;
-      }
-    }
-    return next;
+void Scheduler::wait_batch(BatchSync& sync) {
+  const auto drained = [&] {
+    return sync.remaining.load(std::memory_order_acquire) == 0;
   };
   if (Worker* w = current()) {
     // Workers help instead of blocking, exactly like wait() — a batch
     // submitted from inside a task drains even on a one-worker pool.
     Backoff backoff;
-    while (sync.remaining.load(std::memory_order_acquire) > 0) {
-      const bool progressed = try_progress(*w);
-      if (deadline_sensitive) police(now_ns());
-      if (progressed) {
+    while (!drained()) {
+      if (try_progress(*w)) {
         backoff.reset();
       } else {
         backoff.pause();
@@ -612,30 +477,13 @@ void Scheduler::wait_batch(RootJob* const* jobs, std::size_t n,
   // External thread: the same bounded spin as wait(), then ONE park on the
   // batch's own condition variable. Per-root completions never wake us —
   // only the last finisher signals — so a batch of N costs one sleep/wake
-  // pair instead of N.
+  // pair instead of N. Returning with sync.m held-then-released also
+  // synchronizes with the last finisher (see BatchSync).
   Backoff backoff;
   const int spin_limit = wait_spin_limit();
-  for (int spin = 0; spin < spin_limit; ++spin) {
-    if (sync.remaining.load(std::memory_order_acquire) == 0) {
-      std::lock_guard<std::mutex> lk(sync.m);
-      return;
-    }
-    backoff.pause();
-  }
+  for (int spin = 0; spin < spin_limit && !drained(); ++spin) backoff.pause();
   std::unique_lock<std::mutex> lk(sync.m);
-  while (sync.remaining.load(std::memory_order_acquire) > 0) {
-    if (!deadline_sensitive) {
-      sync.cv.wait(lk);
-      continue;
-    }
-    const std::uint64_t wake = police(now_ns());
-    if (wake == 0) {
-      sync.cv.wait(lk);
-    } else {
-      sync.cv.wait_until(lk, std::chrono::steady_clock::time_point(
-                                 std::chrono::nanoseconds(wake)));
-    }
-  }
+  sync.cv.wait(lk, drained);
 }
 
 std::unique_lock<std::mutex> Scheduler::lock_idle() {
@@ -736,6 +584,11 @@ bool Scheduler::try_progress(Worker& w) {
         job->t_adopt_ns = now_ns();
         obs_.dispatch_ns->record(job->t_adopt_ns - job->t_enqueue_ns);
       }
+      // The one scheduler-side deadline check (one clock read, armed roots
+      // only): a root whose deadline passed while queued starts cancelled
+      // and drains as a skip cascade. Running roots expire their own
+      // deadline at node dispatch (RootJob::should_skip).
+      if (job->deadline_ns != 0) job->should_skip();
       // Frames the root allocates (and every task it spawns) carry its
       // epoch; restore afterwards — a worker can adopt a root while helping
       // mid-task inside wait().
@@ -825,7 +678,7 @@ void Scheduler::flush_worker_obs(Worker& w) noexcept {
 void Scheduler::lane_depths(std::uint32_t out[kNumLanes]) {
   std::lock_guard<std::mutex> lk(mu_);
   // Splice so roots still in the submit rings are counted; any thread
-  // holding mu_ may do this (the deadline sweeps already do).
+  // holding mu_ may do this, not only the popping worker.
   splice_inboxes_locked();
   for (std::uint32_t l = 0; l < kNumLanes; ++l) {
     std::uint32_t depth = 0;

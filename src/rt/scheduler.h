@@ -17,20 +17,21 @@
 // lanes, each fronted by a lock-free MPSC submit ring (rt/submit_ring.h):
 // producers push per-batch chains with one CAS and never take mu_; whichever
 // worker pops next splices the rings into the lane FIFOs under mu_, so
-// lane ordering, starvation bounding, and deadline policing are unchanged
-// from the mutex-guarded design while submitters stay wait-free.
-// submit_batch() amortizes the remaining per-root costs (epoch bump, wake,
-// deadline arming) across N roots and supports completion coalescing: a
-// BatchSync rendezvous whose waiter parks ONCE for the whole batch.
+// lane ordering and starvation bounding are unchanged from the
+// mutex-guarded design while submitters stay wait-free.
+// submit_batch() amortizes the remaining per-root costs (epoch bump, wake)
+// across N roots and supports completion coalescing: a BatchSync
+// rendezvous whose waiter parks ONCE for the whole batch.
 // Workers adopting a root prefer the highest non-empty lane, but
 // draining is starvation-bounded — a lower lane bypassed kLaneStarvationBound
 // times in a row gets the next pop regardless, so background work always
 // progresses under sustained high-priority traffic. Roots also carry a
-// cooperative cancellation word and an optional absolute deadline:
-// executors poll the word on node dispatch (one atomic load — no clocks on
-// the hot path) and skip work once it is set; deadline expiry piggybacks on
-// the cold park/unpark boundaries (root adoption, root completion, and
-// external waiters' timed sleeps), never on the steal loop.
+// cooperative cancellation word and an optional absolute deadline, both
+// checked by RootJob::should_skip() at each node dispatch: executors skip
+// work once the word is set, and a deadline-armed root sets it itself
+// (kDeadline) the first time a dispatch finds its deadline passed. Adoption
+// checks the deadline once more, so a root that expired while queued starts
+// cancelled. No waiter, sweep or steal-loop clock is involved.
 //
 // Memory contract: per-worker frame arenas are epoch-segmented (rt/arena.h).
 // Every RootJob gets a frame epoch at submission; arena blocks are stamped
@@ -241,8 +242,9 @@ class Scheduler {
   /// must stay alive until `done` (i.e. until wait() returns). `fn` runs on
   /// whichever worker adopts the job and must not return before all work it
   /// spawned has completed (wait on your TaskGroups), which every executor
-  /// in this codebase guarantees. `lane` and `deadline_ns` are read at
-  /// submit(); set them before submitting, never after.
+  /// in this codebase guarantees. `lane` is read at submit() and
+  /// `deadline_ns` until the job is done; set both before submitting,
+  /// never after.
   struct RootJob {
     std::function<void(Worker&)> fn;
     std::atomic<bool> done{false};
@@ -279,13 +281,13 @@ class Scheduler {
     /// Injection lane (0 = highest priority). Must be < kNumLanes.
     std::uint8_t lane = 1;
     /// Absolute deadline on the now_ns() clock; 0 = none. Once it passes,
-    /// the scheduler cancels the job with CancelReason::kDeadline at the
-    /// next cold boundary (adoption, completion, or a waiter's timed wake).
+    /// the job cancels itself with CancelReason::kDeadline at its adoption
+    /// or at its next node dispatch (see should_skip).
     std::uint64_t deadline_ns = 0;
     /// Cooperative cancellation word (a CancelReason). Set at most once per
-    /// submission (first writer wins); cleared by submit(). Executors poll
-    /// it on node dispatch and skip not-yet-started work once it is set —
-    /// in-flight node computes always finish.
+    /// submission (first writer wins); cleared by submit(). Executors check
+    /// it through should_skip() on node dispatch and skip not-yet-started
+    /// work once it is set — in-flight node computes always finish.
     std::atomic<std::uint8_t> cancel{0};
 
     /// Requests cancellation; returns false when some reason already won
@@ -299,6 +301,17 @@ class Scheduler {
     }
     bool cancel_requested() const noexcept {
       return cancel.load(std::memory_order_acquire) != 0;
+    }
+    /// The node-dispatch check: true once work of this job must be skipped.
+    /// A passed deadline cancels the job (kDeadline, first writer wins)
+    /// before this returns true, so the word is always set before anything
+    /// is skipped and every later check agrees. Unarmed jobs pay one load
+    /// and branch beyond cancel_requested(); armed ones one clock read.
+    bool should_skip() noexcept {
+      if (cancel_requested()) return true;
+      if (deadline_ns == 0 || now_ns() < deadline_ns) return false;
+      try_cancel(CancelReason::kDeadline);
+      return true;
     }
     CancelReason cancel_reason() const noexcept {
       return static_cast<CancelReason>(cancel.load(std::memory_order_acquire));
@@ -318,29 +331,27 @@ class Scheduler {
   void submit(RootJob& job);
 
   /// Enqueues `n` jobs as ONE submission batch: one epoch/active-count
-  /// bump, one ring CAS per distinct lane, one deadline-horizon update,
-  /// and one worker wake for the whole batch. Jobs may target different
-  /// lanes and carry individual deadlines; per-lane FIFO order follows the
-  /// array order. When `sync` is non-null it is armed to `n` and every
-  /// job's completion decrements it — pair with wait_batch() for a
-  /// one-park wait over the whole batch. Thread-safe, non-blocking.
+  /// bump, one ring CAS per distinct lane, and one worker wake for the
+  /// whole batch. Jobs may target different lanes and carry individual
+  /// deadlines; per-lane FIFO order follows the array order. When `sync`
+  /// is non-null it is armed to `n` and every job's completion decrements
+  /// it — pair with wait_batch() for a one-park wait over the whole batch.
+  /// Thread-safe, lock-free.
   void submit_batch(RootJob* const* jobs, std::size_t n,
                     BatchSync* sync = nullptr);
 
   /// Returns when every job of the batch armed on `sync` has completed
   /// (sync->remaining == 0). External threads park ONCE on the batch's own
   /// condition variable (per-root completions do not wake them); worker
-  /// threads help instead of blocking, exactly like wait(). Waiters police
-  /// the batch's own deadlines via timed sleeps, mirroring wait(). `jobs`
-  /// must be the batch passed to submit_batch.
-  void wait_batch(RootJob* const* jobs, std::size_t n, BatchSync& sync);
+  /// threads help instead of blocking, exactly like wait(). Deadlines need
+  /// no waiter: each job expires its own (see RootJob::should_skip).
+  void wait_batch(BatchSync& sync);
 
   /// Returns when `job.fn` has returned. External threads block on a
   /// condition variable; a worker thread HELPS instead of blocking — it
   /// keeps stealing and adopting queued roots (possibly `job` itself)
   /// until the job completes, so submit+wait works from inside tasks even
-  /// on a single-worker pool. Waiters also police `job`'s deadline: a
-  /// timed sleep wakes at the earliest armed deadline and expires it.
+  /// on a single-worker pool.
   void wait(const RootJob& job);
 
   /// wait() bounded by an absolute now_ns() deadline (0 = unbounded).
@@ -438,21 +449,12 @@ class Scheduler {
   /// Drains every lane's submit ring into its FIFO: assigns frame epochs,
   /// appends to the epoch-ordered active list, and links the chain onto the
   /// lane tail. Requires mu_. Called at the consumer boundaries (pop_root,
-  /// deadline sweeps) so everything ordering-sensitive still happens under
-  /// the one lock while producers stay lock-free.
+  /// lane_depths) so everything ordering-sensitive still happens under the
+  /// one lock while producers stay lock-free.
   void splice_inboxes_locked();
   /// Wakes parked workers after publishing new work, eliding the mutex+
   /// notify entirely when nobody is parked (the common saturated case).
   void wake_workers() noexcept;
-  /// Cancels every active job whose deadline has passed (first writer
-  /// wins) and recomputes next_deadline_ns_. Requires mu_; O(active jobs).
-  /// Splices the submit rings first so queued-but-unspliced jobs are
-  /// policed exactly like queued jobs were under the mutex-guarded design.
-  void expire_deadlines_locked(std::uint64_t now);
-  /// expire_deadlines_locked, gated on next_deadline_ns_ actually having
-  /// passed — the adoption/completion boundaries use this so far-future
-  /// deadlines never cost the O(active) walk there.
-  void maybe_expire_deadlines_locked();
   /// Shared body of wait()/wait_until(); wait_deadline_ns == 0 means wait
   /// forever.
   bool wait_impl(const RootJob& job, std::uint64_t wait_deadline_ns);
@@ -476,8 +478,6 @@ class Scheduler {
   struct ObsMetrics {
     obs::Histogram* dispatch_ns;       // root enqueue -> adoption
     obs::Histogram* park_ns;           // worker park duration
-    obs::Counter* deadline_sweeps;     // expire_deadlines_locked calls
-    obs::Counter* deadline_expired;    // roots cancelled by the sweep
     obs::Counter* tasks;
     obs::Counter* spawns;
     obs::Counter* steals_colored;
@@ -512,12 +512,6 @@ class Scheduler {
   /// wake is needed at all — see the seq_cst handshake in wake_workers().
   std::atomic<std::uint32_t> parked_workers_{0};
   bool shutdown_ = false;  // under mu_
-  /// Active jobs with an armed deadline; gates the expiry sweep so
-  /// deadline-free workloads never read the clock for it. Under mu_.
-  std::uint32_t deadline_jobs_ = 0;
-  /// Earliest unexpired deadline seen by the last sweep (0 = none); lets
-  /// external waiters pick their timed-sleep horizon. Under mu_.
-  std::uint64_t next_deadline_ns_ = 0;
 
   /// Jobs submitted but not finished. Workers serve while this is nonzero.
   std::atomic<std::uint32_t> active_jobs_{0};

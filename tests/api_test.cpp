@@ -660,6 +660,55 @@ TEST(SubmissionControl, DeadlineInBuildsFutureDeadlines) {
   EXPECT_EQ(g.checksum(), WaveGrid::expected_checksum(6, 9));
 }
 
+TEST(SubmissionControl, DeadlineFiresWithoutAWaiter) {
+  // A daemon session never waits on an execution: it polls done(). The
+  // deadline must still stop a graph that is already running — here a
+  // 100-node chain of 1 ms nodes (~100 ms serial) with a 5 ms deadline.
+  constexpr std::uint32_t kLen = 100;
+  struct SpinChainSpec final : GraphSpec {
+    struct Node final : TaskGraphNode {
+      void init(ExecContext&) override {
+        if (key() > 0) add_predecessor(key() - 1);
+      }
+      void compute(ExecContext&) override {
+        const std::uint64_t until = now_ns() + 1'000'000;
+        while (now_ns() < until) cpu_relax();
+      }
+    };
+    TaskGraphNode* create(NodeArena& arena, Key) override {
+      return arena.create<Node>();
+    }
+    std::size_t expected_nodes() const override { return kLen; }
+  };
+  RuntimeOptions opts;
+  opts.workers = 2;
+  Runtime rt(opts);
+  SpinChainSpec spec;
+  auto plan = rt.compile(spec, kLen - 1, 1, /*tiny_lower=*/false);
+
+  const auto run_polled = [&](bool as_plan) {
+    SubmitOptions so;
+    so.deadline_ns = deadline_in(std::chrono::milliseconds(5));
+    const std::uint64_t t0 = now_ns();
+    Execution e = as_plan ? rt.submit(*plan, so) : rt.submit(spec, kLen - 1, so);
+    const std::uint64_t give_up = t0 + 10'000'000'000ull;
+    while (!e.done() && now_ns() < give_up) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    const std::uint64_t elapsed_ns = now_ns() - t0;
+    ASSERT_TRUE(e.done());
+    const Status st = e.status();
+    EXPECT_EQ(st.state, ExecStatus::kDeadlineExceeded) << as_plan;
+    EXPECT_GT(st.skipped_nodes, 0u) << as_plan;
+    EXPECT_LT(elapsed_ns, 50'000'000ull)
+        << "the chain ran on past its deadline (plan=" << as_plan << ")";
+  };
+  run_polled(/*as_plan=*/false);
+  run_polled(/*as_plan=*/true);
+  rt.wait_idle();
+  EXPECT_EQ(rt.counters().roots_deadline_expired, 2u);
+}
+
 // ----------------------------------------------------- batched submission
 //
 // BatchHandle semantics through the façade: N replays of one compiled plan

@@ -344,6 +344,22 @@ TEST(WireProtocol, SubmitRejectsBadPriorityAndOverlongName) {
   WireWriter w2;
   encode_submit(in, w2);
   EXPECT_FALSE(decode_submit(w2.span(), out, nullptr));
+
+  // A relative deadline past the cap (UINT64_MAX, say, sent to mean "none")
+  // is refused instead of wrapping into an instant expiry; the cap itself
+  // is accepted.
+  in.name.clear();
+  for (const std::uint64_t rel : {kMaxDeadlineRelNs + 1, ~std::uint64_t{0}}) {
+    in.deadline_rel_ns = rel;
+    WireWriter w3;
+    encode_submit(in, w3);
+    EXPECT_FALSE(decode_submit(w3.span(), out, nullptr)) << rel;
+  }
+  in.deadline_rel_ns = kMaxDeadlineRelNs;
+  WireWriter w4;
+  encode_submit(in, w4);
+  ASSERT_TRUE(decode_submit(w4.span(), out, nullptr));
+  EXPECT_EQ(out.deadline_rel_ns, kMaxDeadlineRelNs);
 }
 
 TEST(WireProtocol, SubmitBatchRoundTripsAndParsesStrictly) {
@@ -406,6 +422,13 @@ TEST(WireProtocol, SubmitBatchRoundTripsAndParsesStrictly) {
     WireWriter wb;
     encode_submit_batch(b, wb);
     EXPECT_FALSE(decode_submit_batch(wb.span(), out, &why));
+  }
+  for (const std::uint64_t rel : {kMaxDeadlineRelNs + 1, ~std::uint64_t{0}}) {
+    SubmitBatchRequest b = in;  // per-item deadline over cap
+    b.items[2].deadline_rel_ns = rel;
+    WireWriter wb;
+    encode_submit_batch(b, wb);
+    EXPECT_FALSE(decode_submit_batch(wb.span(), out, &why)) << rel;
   }
 }
 
@@ -725,6 +748,34 @@ TEST(NetService, ResultArrivesWithoutPolling) {
   EXPECT_LE(empty.value() - empty_before, 2u)
       << "the session woke without work during a "
       << elapsed_ns / 1'000'000 << " ms execution";
+  server.stop();
+}
+
+TEST(NetService, SubmitDeadlineStopsARunningGraph) {
+  // A session never waits on its executions, so a SUBMIT's relative
+  // deadline must stop the graph by itself once it is running: a 24x24
+  // wavefront of 1 ms nodes (~300 ms on two workers) with a 5 ms deadline,
+  // neither cancelled nor waited on by anyone but the RESULT push.
+  const std::string path = unique_sock_path("deadline");
+  Server server(test_opts(path));
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  Client c;
+  ASSERT_TRUE(c.connect_unix(path)) << c.last_error();
+  const WireGraph g = make_wavefront_wire_graph(24, 0x5d, 1'000'000);
+  const auto reg = c.register_graph(g);
+  ASSERT_TRUE(reg) << c.last_error();
+  const auto sub = c.submit(reg->handle, 3, api::Priority::kNormal,
+                            /*deadline_rel_ns=*/5'000'000);
+  ASSERT_TRUE(sub && sub->accepted) << c.last_error();
+  const auto res = c.wait_result(sub->exec_id, /*timeout_ms=*/10'000);
+  ASSERT_TRUE(res) << c.last_error();
+  EXPECT_EQ(res->state,
+            static_cast<std::uint8_t>(api::ExecStatus::kDeadlineExceeded));
+  EXPECT_GT(res->skipped, 0u);
+  EXPECT_EQ(res->result, 0u);
+  EXPECT_EQ(server.stats().deadline_exceeded, 1u);
   server.stop();
 }
 

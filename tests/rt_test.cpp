@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -704,29 +705,32 @@ TEST(SubmissionControl, PastDeadlineExpiresAtAdoption) {
   EXPECT_EQ(rt.counters().roots_deadline_expired, 1u);
 }
 
-TEST(SubmissionControl, ParkedWaiterExpiresDeadlineOfRunningJob) {
-  // The pool is saturated by the job itself (it never yields the worker
-  // until released), so only the external waiter's timed sleep can expire
-  // the deadline. wait() must come back with the cancel word set.
+TEST(SubmissionControl, RunningJobExpiresItsOwnDeadline) {
+  // The pool is saturated by the job itself and nobody waits on it: its
+  // fn polls should_skip() like an executor's node dispatch does, and that
+  // check alone must expire the deadline and set the cancel word.
   api::Runtime rt(test_options(1));
   Scheduler& sched = rt.scheduler();
-  std::atomic<bool> release{false};
+  std::atomic<bool> skipped{false};
 
-  TaggedJob job;
-  job.release = &release;
-  job.job.deadline_ns = now_ns() + 20'000'000;  // 20ms from now
-  job.bind();
-  sched.submit(job.job);
-
-  // Bounded timed wait well past the deadline: returns false (job still
-  // blocked) but must have expired the deadline on the way.
-  const bool done = sched.wait_until(job.job, now_ns() + 120'000'000);
-  EXPECT_FALSE(done);
-  EXPECT_TRUE(job.job.cancel_requested());
-  EXPECT_EQ(job.job.cancel_reason(), CancelReason::kDeadline);
-
-  release.store(true, std::memory_order_release);
-  sched.wait(job.job);
+  Scheduler::RootJob job;
+  job.deadline_ns = now_ns() + 20'000'000;  // 20ms from now
+  job.fn = [&job, &skipped](Worker&) {
+    const std::uint64_t give_up = now_ns() + 5'000'000'000ull;
+    Backoff backoff;
+    while (!job.should_skip() && now_ns() < give_up) backoff.pause();
+    skipped.store(job.cancel_requested(), std::memory_order_release);
+  };
+  sched.submit(job);
+  while (!job.done.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(skipped.load(std::memory_order_acquire));
+  EXPECT_EQ(job.cancel_reason(), CancelReason::kDeadline);
+  EXPECT_FALSE(job.try_cancel(CancelReason::kRequested))
+      << "the deadline must have won the cancel word";
+  rt.wait_idle();
+  EXPECT_EQ(rt.counters().roots_deadline_expired, 1u);
 }
 
 TEST(SubmissionControl, WaitUntilTimesOutWithoutCancelling) {
@@ -898,7 +902,7 @@ TEST(SubmissionControl, BatchSubmitRespectsLanePolicyAndFifo) {
   sched.submit_batch(jobs, 6, &sync);
 
   release.store(true, std::memory_order_release);
-  sched.wait_batch(jobs, 6, sync);
+  sched.wait_batch(sync);
   sched.wait(blocker.job);
   EXPECT_EQ(sync.remaining.load(std::memory_order_relaxed), 0u);
   const int expect[6] = {1, 3, 5, 0, 2, 4};
@@ -908,9 +912,9 @@ TEST(SubmissionControl, BatchSubmitRespectsLanePolicyAndFifo) {
 }
 
 TEST(SubmissionControl, BatchArmsDeadlinesExpiredItemAdoptedCancelled) {
-  // Producer-side deadline arming: an already-expired item inside a batch
-  // must be adopted pre-cancelled (kDeadline), while its batchmates run
-  // normally — and the batch rendezvous still drains to zero.
+  // The adoption-time deadline check: an already-expired item inside a
+  // batch must be adopted pre-cancelled (kDeadline), while its batchmates
+  // run normally — and the batch rendezvous still drains to zero.
   api::Runtime rt(test_options(1));
   Scheduler& sched = rt.scheduler();
 
@@ -921,7 +925,7 @@ TEST(SubmissionControl, BatchArmsDeadlinesExpiredItemAdoptedCancelled) {
   Scheduler::RootJob* jobs[2] = {&ok.job, &dead.job};
   Scheduler::BatchSync sync;
   sched.submit_batch(jobs, 2, &sync);
-  sched.wait_batch(jobs, 2, sync);
+  sched.wait_batch(sync);
 
   EXPECT_FALSE(ok.saw_cancel);
   EXPECT_TRUE(dead.saw_cancel);
@@ -952,7 +956,7 @@ TEST(SubmissionControl, ConcurrentBatchProducersAllComplete) {
         }
         Scheduler::BatchSync sync;
         sched.submit_batch(jobs, kPer, &sync);
-        sched.wait_batch(jobs, kPer, sync);
+        sched.wait_batch(sync);
         for (int i = 0; i < kPer; ++i) {
           EXPECT_TRUE(roots[i].done.load(std::memory_order_acquire));
         }
@@ -989,7 +993,7 @@ TEST(SubmissionControl, BatchRendezvousTeardownStress) {
     {
       Scheduler::BatchSync sync;
       sched.submit_batch(jobs, kPer, &sync);
-      sched.wait_batch(jobs, kPer, sync);
+      sched.wait_batch(sync);
     }  // sync (and then the jobs) destroyed immediately — the old window
   }
   EXPECT_EQ(ran.load(), kIters * kPer);
