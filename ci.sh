@@ -504,7 +504,7 @@ cmake --build "${TSAN_DIR}" -j "${JOBS}" \
 # suppressions (see tsan.supp) and would fail the leg spuriously.
 TSAN_OPTIONS="suppressions=$(pwd)/tsan.supp halt_on_error=1 history_size=7" \
   ctest --test-dir "${TSAN_DIR}" --output-on-failure --timeout 600 \
-  -R 'SubmissionControl|ConcurrentStealersEachTaskOnce|ConcurrentRootJobsShareThePool|ConcurrentStress|PlanConcurrent|OverlappingSubmissions|SubmitOptionsKeepSteadyState|FuzzDag8.*/[01]$|FuzzTiny8.*/[01]$|FuzzBatch8.*/[01]$|SubmitRing|BatchSubmission|SharedPlanCompiledOnceAcrossSessions|BatchSubmitDeliversPerItemResults|BatchAdmissionAdmitsPrefixAndReportsScope|NetDisconnect|NetShutdown|ResultArrivesWithoutPolling|PersistConcurrent|ConcurrentRecordMergeMatchesSerial|MetricsAndSlowCaptureOverUnix|DynamicExecutor|DynExecTest|ColoredExecTest|SuccessorList|ConcurrentMap'
+  -R 'SubmissionControl|WaitIdleQuiescesThePool|ConcurrentStealersEachTaskOnce|ConcurrentRootJobsShareThePool|ConcurrentStress|PlanConcurrent|OverlappingSubmissions|SubmitOptionsKeepSteadyState|FuzzDag8.*/[01]$|FuzzTiny8.*/[01]$|FuzzBatch8.*/[01]$|SubmitRing|BatchSubmission|SharedPlanCompiledOnceAcrossSessions|BatchSubmitDeliversPerItemResults|BatchAdmissionAdmitsPrefixAndReportsScope|NetDisconnect|NetShutdown|ResultArrivesWithoutPolling|PersistConcurrent|ConcurrentRecordMergeMatchesSerial|MetricsAndSlowCaptureOverUnix|DynamicExecutor|DynExecTest|ColoredExecTest|SuccessorList|ConcurrentMap'
 echo "tsan leg OK"
 
 echo "=== ThreadSanitizer repeat leg (plan restore, registration, rt/net control) ==="

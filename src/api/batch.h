@@ -2,12 +2,12 @@
 //
 // N replays of one compiled GraphPlan enter the scheduler as a single
 // submission batch (one instance-pool checkout, one submit-ring push per
-// lane, one worker wake) and complete against a single rendezvous:
-// wait_all() parks AT MOST ONCE for the whole batch — the scheduler only
-// signals the batch's own condition variable when the LAST item finishes —
-// then serves all N statuses from memory. Per-item semantics are intact:
-// each item has its own priority lane, absolute deadline, cancel() and
-// terminal Status, exactly as if submitted alone.
+// lane, one worker wake) and complete against a single rendezvous, the
+// batch's completion word: wait_all() sleeps on it AT MOST ONCE for the
+// whole batch — only the LAST item's finisher can wake it, and only if
+// wait_all() is asleep — then serves all N statuses from memory. Per-item
+// semantics are intact: each item has its own priority lane, absolute
+// deadline, cancel() and terminal Status, exactly as if submitted alone.
 //
 // Lifetime: the handle owns all N pooled PlanInstances; the destructor
 // waits for stragglers and recycles them, so a dropped handle cannot leave
@@ -70,7 +70,7 @@ class BatchHandle {
   bool empty() const noexcept { return n_ == 0; }
 
   /// Returns once every item reached a terminal state. External threads
-  /// park at most once (completion coalescing); worker threads help run
+  /// sleep at most once (completion coalescing); worker threads help run
   /// pool work instead of blocking, like Execution::wait(). Idempotent.
   void wait_all();
   /// True once every item is terminal (racy peek; wait_all to synchronize).
@@ -108,7 +108,6 @@ class BatchHandle {
   std::unique_ptr<rt::Scheduler::RootJob*[]> spill_jobs_;
   std::size_t n_ = 0;
   rt::Scheduler* sched_ = nullptr;
-  bool waited_ = false;
 };
 
 }  // namespace nabbitc::api

@@ -81,9 +81,7 @@ void Execution::release_state() noexcept {
   // A dropped handle still owns the RootJob the scheduler may be about to
   // run; joining here keeps that storage (and the client's GraphSpec or
   // plan instance) alive for as long as the pool needs it.
-  if (!st_->job.done.load(std::memory_order_acquire)) {
-    st_->sched->wait(st_->job);
-  }
+  if (!st_->job.is_done()) st_->sched->wait(st_->job);
   if (st_->pooled != nullptr) {
     st_->pooled->recycle();  // embedded state goes back to the plan's pool
   } else {
@@ -109,18 +107,15 @@ Execution::~Execution() { release_state(); }
 
 void Execution::wait() {
   NABBITC_CHECK_MSG(st_ != nullptr, "wait() on an empty Execution");
-  if (!st_->job.done.load(std::memory_order_acquire)) {
-    st_->sched->wait(st_->job);
-  }
+  if (!st_->job.is_done()) st_->sched->wait(st_->job);
 }
 
 bool Execution::done() const noexcept {
-  return st_ != nullptr && st_->job.done.load(std::memory_order_acquire);
+  return st_ != nullptr && st_->job.is_done();
 }
 
 bool Execution::wait_until(std::uint64_t deadline_ns) {
   NABBITC_CHECK_MSG(st_ != nullptr, "wait_until() on an empty Execution");
-  if (st_->job.done.load(std::memory_order_acquire)) return true;
   return st_->sched->wait_until(st_->job, deadline_ns);
 }
 
@@ -140,7 +135,7 @@ namespace {
 /// BatchHandle::status(i) — one spelling of what "completed" means.
 Status status_of(const detail::ExecutionState& st) noexcept {
   Status s;
-  if (!st.job.done.load(std::memory_order_acquire)) {
+  if (!st.job.is_done()) {
     return s;  // kRunning
   }
   s.skipped_nodes = st.pooled != nullptr ? st.pooled->nodes_skipped()
@@ -356,8 +351,8 @@ Execution Runtime::submit(const plan::GraphPlan& plan, const SubmitOptions& so) 
   if (plan.serial_lowered()) {
     // Tiny-graph lowering: the whole replay runs right here on the
     // submitting thread — no scheduler round-trip, no worker wake, no
-    // futex. The handle comes back already done; wait() is then a single
-    // acquire load.
+    // futex. The handle comes back already done; wait() then returns at its
+    // first look at the completion word.
     inst->run_inline();
     return Execution(&st);
   }
@@ -384,10 +379,7 @@ void BatchHandle::init(Runtime& rt, const plan::GraphPlan& plan,
   check_plan_variant(plan, rt.variant());
   n_ = n;
   sched_ = rt.sched_.get();
-  if (n == 0) {
-    waited_ = true;
-    return;
-  }
+  if (n == 0) return;
   if (n <= kInlineItems) {
     insts_ = insts_inline_;
     jobs_ = jobs_inline_;
@@ -425,13 +417,11 @@ BatchHandle::~BatchHandle() {
 }
 
 void BatchHandle::wait_all() {
-  if (waited_ || n_ == 0) return;  // empty/default handles have no sched_
-  sched_->wait_batch(sync_);
-  waited_ = true;
+  if (n_ != 0) sched_->wait_batch(sync_);  // empty handles have no sched_
 }
 
 bool BatchHandle::all_done() const noexcept {
-  return n_ == 0 || sync_.remaining.load(std::memory_order_acquire) == 0;
+  return sync_.drained();  // an empty handle's word was never armed
 }
 
 // The per-item accessors check the index against n_ (which is 0 for a
@@ -501,8 +491,8 @@ void Runtime::submit_batch(const plan::GraphPlan& plan,
       fill_plan_state(st, *sched_, plan, items[done + i], t_submit);
       jobs[i] = &st.job;
     }
-    // No BatchSync: each Execution waits on its own job's done flag, so a
-    // handle can be waited/dropped independently of its batch siblings.
+    // No BatchSync: each Execution waits on its own job's completion word,
+    // so a handle can be waited/dropped independently of its batch siblings.
     sched_->submit_batch(jobs, k, nullptr);
     api_metrics().batch_size->record(k);
     for (std::size_t i = 0; i < k; ++i) {

@@ -81,6 +81,11 @@ void Server::stop() {
 }
 
 void Server::accept_loop() {
+  obs::Counter& backoffs = obs::registry().counter("net_accept_backoff_total");
+  // At the fd limit the refused connection keeps its listen fd readable, so
+  // the next poll watches the wake fd alone instead of spinning.
+  constexpr int kAcceptBackoffMs = 100;
+  bool at_fd_limit = false;
   while (!stopping()) {
     pollfd fds[3];
     nfds_t n = 0;
@@ -88,18 +93,19 @@ void Server::accept_loop() {
     fds[n].events = POLLIN;
     ++n;
     const nfds_t tcp_slot = tcp_listen_.valid() ? n : 0;
-    if (tcp_listen_.valid()) {
+    if (!at_fd_limit && tcp_listen_.valid()) {
       fds[n].fd = tcp_listen_.get();
       fds[n].events = POLLIN;
       ++n;
     }
     const nfds_t unix_slot = unix_listen_.valid() ? n : 0;
-    if (unix_listen_.valid()) {
+    if (!at_fd_limit && unix_listen_.valid()) {
       fds[n].fd = unix_listen_.get();
       fds[n].events = POLLIN;
       ++n;
     }
-    const int r = ::poll(fds, n, 200);
+    const int r = ::poll(fds, n, at_fd_limit ? kAcceptBackoffMs : 200);
+    at_fd_limit = false;
     if (r < 0 && errno != EINTR) break;
     if (stopping()) break;
     if (r <= 0) {
@@ -114,7 +120,11 @@ void Server::accept_loop() {
       (void)unix_slot;
       for (;;) {
         Fd conn = accept_conn(lfd);
-        if (!conn.valid()) break;  // EAGAIN: accepted everything pending
+        if (!conn.valid()) {  // EAGAIN: accepted everything pending
+          at_fd_limit = errno == EMFILE || errno == ENFILE;
+          if (at_fd_limit) backoffs.inc();
+          break;
+        }
         reap_finished_sessions();
         if (sessions_active_.load(std::memory_order_acquire) >=
             opts_.max_sessions) {

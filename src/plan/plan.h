@@ -229,9 +229,10 @@ class PlanInstance final : public nabbit::NodeLookup {
   void compute_and_notify(rt::Worker& w, std::uint32_t index);
   void spawn_indices(rt::Worker& w, rt::TaskGroup& g, std::uint32_t* indices,
                      std::size_t n);
-  /// Computes (or, under cancellation, skips) one node, counting locality
-  /// when `w` is non-null. Shared by the parallel and serial paths.
-  void execute_node(rt::Worker* w, std::uint32_t index);
+  /// Computes one node (or, when `skip`, only counts it skipped), counting
+  /// locality when `w` is non-null. Shared by the parallel and serial
+  /// paths, which each make their own cancellation check.
+  void execute_node(rt::Worker* w, std::uint32_t index, bool skip);
   /// The tiny-graph micro-interpreter: drives the whole replay on the
   /// calling thread over the join counters. `w` may be null (inline
   /// submission) — locality counting is skipped then.

@@ -90,14 +90,14 @@ void PlanInstance::run_root(rt::Worker& w) {
       "in flight, or graph mutated since compile");
 }
 
-void PlanInstance::execute_node(rt::Worker* w, std::uint32_t index) {
+void PlanInstance::execute_node(rt::Worker* w, std::uint32_t index,
+                                bool skip) {
   const GraphPlan& p = *plan_;
-  // One cancellation check per node (the embedded RootJob's cancel word,
-  // plus a clock read when a deadline is armed — a passed one cancels the
-  // job here). A skipped node never runs compute() and keeps status
+  // The caller made this node's cancellation check (see compute_and_notify
+  // and run_serial). A skipped node never runs compute() and keeps status
   // kVisited, but its caller still notifies successors so the replay
   // drains.
-  if (state_.job.should_skip()) {
+  if (skip) {
     skipped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -131,7 +131,9 @@ void PlanInstance::execute_node(rt::Worker* w, std::uint32_t index) {
 }
 
 void PlanInstance::compute_and_notify(rt::Worker& w, std::uint32_t index) {
-  execute_node(&w, index);
+  // One full check per dispatched node: the cancel word, plus a clock read
+  // when a deadline is armed (a passed one cancels the job here).
+  execute_node(&w, index, state_.job.should_skip());
   // Notify successors: the CSR row replaces the successor list — every
   // dependent is known up front, so the last-arriving predecessor (the
   // fetch_sub observing 1) spawns the successor.
@@ -162,9 +164,16 @@ void PlanInstance::run_serial(rt::Worker* w) {
   std::uint32_t ready[kTinyGraphMaxNodes];
   std::uint32_t top = 0;
   for (const std::uint32_t r : f.roots) ready[top++] = r;
+  // The cancel word is read at every node, an armed deadline's clock only
+  // at every kClockStride-th: a clock read per node doubled a 16-node run.
+  constexpr std::uint32_t kClockStride = 8;
+  rt::Scheduler::RootJob& job = state_.job;
+  std::uint32_t ordinal = 0;
   while (top != 0) {
     const std::uint32_t i = ready[--top];
-    execute_node(w, i);
+    execute_node(w, i,
+                 ordinal++ % kClockStride == 0 ? job.should_skip()
+                                               : job.cancel_requested());
     for (std::uint32_t e = f.succ_off[i]; e < f.succ_off[i + 1]; ++e) {
       const std::uint32_t s = f.succ_idx[e];
       if (join_[s].fetch_sub(1, std::memory_order_relaxed) == 1) {
@@ -178,12 +187,12 @@ void PlanInstance::run_inline() {
   // Serial-lowered submission on the submitting thread: mirror the fields
   // submit_batch() would have reset, run the micro-interpreter, then
   // complete the job. Nobody can observe the handle before the caller's
-  // submit() returns, so plain stores + one release on `done` suffice (and
-  // no waiter can be parked on the scheduler for this job).
+  // submit() returns, so plain stores suffice, the last one arming the
+  // completion word to 0 (no waiter can be asleep on it yet).
   rt::Scheduler::RootJob& job = state_.job;
   job.t_enqueue_ns = 0;
   job.t_adopt_ns = 0;
-  job.done.store(false, std::memory_order_relaxed);
+  job.completion.arm(1);
   job.cancel.store(0, std::memory_order_relaxed);
   job.batch = nullptr;
   run_serial(nullptr);
@@ -194,7 +203,7 @@ void PlanInstance::run_inline() {
       "serial plan replay did not retire every node");
   state_.t_done_ns = now_ns();
   api::record_completion(state_, plan_->bound_metrics());
-  job.done.store(true, std::memory_order_release);
+  job.completion.arm(0);
 }
 
 }  // namespace nabbitc::plan

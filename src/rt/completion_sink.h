@@ -1,20 +1,20 @@
 // Completion events for a stream of independently waited roots.
 //
-// A BatchSync (rt/scheduler.h) wakes one waiter when a whole batch is done.
-// A server session needs the other shape: it owns an open-ended stream of
-// roots, sleeps in poll(2) on its socket, and must learn about EACH
-// completion without polling a clock. A CompletionSink is that listener.
-// Every root submitted with it (RootJob::sink) counts as pending from
-// submit until its finisher lets go of the sink: Scheduler::finish_root
-// calls job_finished() after publishing `done` and releasing the
-// scheduler's mutex. If the owner armed the sink before it
-// last checked its roots, the first finisher calls wake() and disarms it,
-// so a burst of completions costs one wake per owner sleep, not one per
-// root.
+// A job's or a batch's completion word (rt/scheduler.h) wakes a thread that
+// sleeps on that one word. A server session needs the other shape: it owns
+// an open-ended stream of roots, sleeps in poll(2) on its socket, and must
+// learn about EACH completion without polling a clock. A CompletionSink is
+// that listener. Every root submitted with it (RootJob::sink) counts as
+// pending from submit until its finisher lets go of the sink:
+// Scheduler::finish_root calls job_finished() after counting down the
+// job's completion word, outside every scheduler lock. If the owner armed
+// the sink before it last checked its roots, the first finisher calls
+// wake() and disarms it, so a burst of completions costs one wake per
+// owner sleep, not one per root.
 //
-// The owner's loop is arm() -> check every root's `done` -> sleep until
+// The owner's loop is arm() -> check every root's is_done() -> sleep until
 // wake(). arm() and job_finished() each issue a seq_cst fence between
-// their store and their load, so either the check sees `done` or the
+// their store and their load, so either the check sees the job done or the
 // finisher sees the armed flag: no completion is missed.
 //
 // Lifetime: the finisher's last touch of the sink is the release decrement

@@ -165,10 +165,7 @@ Scheduler::~Scheduler() {
   {
     // Drain in-flight jobs first: tearing the pool down under live work
     // would strand submitted roots.
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_done_.wait(lk, [&] {
-      return active_jobs_.load(std::memory_order_acquire) == 0;
-    });
+    const auto lk = lock_idle();
     shutdown_ = true;
   }
   cv_start_.notify_all();
@@ -184,16 +181,10 @@ void Scheduler::submit(RootJob& job) {
 
 void Scheduler::submit_batch(RootJob* const* jobs, std::size_t n,
                              BatchSync* sync) {
-  if (n == 0) {
-    if (sync != nullptr) sync->remaining.store(0, std::memory_order_release);
-    return;
-  }
   // Arm the rendezvous before any job can finish: the first completion may
   // land while we are still pushing later lanes.
-  if (sync != nullptr) {
-    sync->remaining.store(static_cast<std::uint32_t>(n),
-                          std::memory_order_relaxed);
-  }
+  if (sync != nullptr) sync->arm(static_cast<std::uint32_t>(n));
+  if (n == 0) return;
   // Build one chain per lane, linked NEWEST-first: the consumer's single
   // reversal at splice (see rt/submit_ring.h) then restores array order.
   RootJob* chain_head[kNumLanes] = {};  // newest element of each chain
@@ -208,7 +199,7 @@ void Scheduler::submit_batch(RootJob* const* jobs, std::size_t n,
     NABBITC_CHECK_MSG(job.lane < kNumLanes, "RootJob lane out of range");
     job.t_enqueue_ns = t_enqueue;
     job.t_adopt_ns = 0;
-    job.done.store(false, std::memory_order_relaxed);
+    job.completion.arm(1);
     // A fresh submission is never born cancelled; pooled jobs (plan
     // instances) reuse this storage across submissions, and no cancel can
     // arrive before submit() returns (the waitable handle does not exist
@@ -236,8 +227,7 @@ void Scheduler::submit_batch(RootJob* const* jobs, std::size_t n,
   inject_count_.fetch_add(static_cast<std::uint32_t>(n),
                           std::memory_order_release);
   // Publish: one CAS per distinct lane. From the first push on, `jobs` may
-  // be adopted, finished, and freed by waiters (batch jobs only after
-  // sync->remaining drains — see RootJob::batch).
+  // be adopted, finished, and freed by waiters.
   for (std::uint32_t l = 0; l < kNumLanes; ++l) {
     if (chain_head[l] != nullptr) {
       lanes_[l].inbox.push_chain(chain_head[l], chain_tail[l]);
@@ -331,13 +321,10 @@ Scheduler::RootJob* Scheduler::pop_root() {
 }
 
 bool Scheduler::finish_root(RootJob& job) {
-  // Capture the rendezvous BEFORE marking done: a batch job must outlive
-  // its batch (see RootJob::batch), but `job` itself may be freed by a
-  // per-job waiter the instant `done` is visible.
+  // Read the links before completing the job: its waiter may free it the
+  // moment its word drains.
   BatchSync* const batch = job.batch;
   CompletionSink* const sink = job.sink;
-  // Decrement before signalling: wait_idle and the destructor wait on
-  // active_jobs_ under mu_ and would otherwise miss the last notification.
   const bool last = active_jobs_.fetch_sub(1, std::memory_order_acq_rel) == 1;
   if (last) quiescent_gen_.fetch_add(1, std::memory_order_release);
   {
@@ -357,70 +344,29 @@ bool Scheduler::finish_root(RootJob& job) {
     const std::uint64_t upto =
         active_head_ != nullptr ? active_head_->frame_epoch - 1 : next_frame_epoch_;
     frames_completed_upto_.store(upto, std::memory_order_release);
-    job.done.store(true, std::memory_order_release);
   }
-  cv_done_.notify_all();
-  // Batch completion coalescing: only the LAST job of a batch wakes the
-  // batch waiter, so wait_batch() costs one park + one wake per batch no
-  // matter how many roots it covers. Non-final completions decrement
-  // lock-free; the FINAL decrement is published while HOLDING batch->m.
-  // That ordering is what makes teardown safe: wait_batch returns only
-  // after it observes remaining == 0 and then acquires batch->m, so any
-  // waiter that saw our zero blocks on the mutex until we have notified
-  // and released — it cannot destroy the rendezvous (or recycle the jobs)
-  // between our decrement and our notify. (Dropping the count to zero
-  // BEFORE taking the lock was a use-after-free: a spinning waiter could
-  // slip through lock/unlock and free the mutex we were about to lock.)
-  // The decrement chain's release sequence makes every job's results
-  // visible to whoever observes zero.
-  if (batch != nullptr) {
-    std::uint32_t cur = batch->remaining.load(std::memory_order_acquire);
-    for (;;) {
-      if (cur == 1) {
-        // We are the last finisher: remaining can only read 1 once the
-        // other n-1 decrements landed, and ours has not — so no other
-        // thread writes `remaining` after this, and exactly one finisher
-        // takes this branch.
-        std::lock_guard<std::mutex> lk(batch->m);
-        batch->remaining.store(0, std::memory_order_release);
-        batch->cv.notify_all();
-        break;
-      }
-      if (batch->remaining.compare_exchange_weak(cur, cur - 1,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_acquire)) {
-        break;
-      }
-    }
-  }
-  // Outside mu_: a sink's wake() may be a syscall. The sink's pending
-  // count keeps its owner from destroying it under us.
+  // Each count_down is this finisher's last access to that word and wakes
+  // only a waiter asleep on it (see CompletionWord). The batch's count_down
+  // chain is one release sequence: whoever sees it drain sees every root.
+  job.completion.count_down();
+  if (batch != nullptr) batch->count_down();
+  // A sink's wake() may be a syscall. The sink's pending count keeps its
+  // owner from destroying it under us.
   if (sink != nullptr) sink->job_finished();
   return last;  // `job` may be freed by its waiter from here on
 }
 
-void Scheduler::wait(const RootJob& job) { wait_impl(job, 0); }
-
-bool Scheduler::wait_until(const RootJob& job, std::uint64_t deadline_ns) {
-  return wait_impl(job, deadline_ns);
-}
-
-bool Scheduler::wait_impl(const RootJob& job, std::uint64_t wait_deadline_ns) {
+bool Scheduler::wait_word(const CompletionWord& word,
+                          std::uint64_t deadline_ns) {
   if (Worker* w = current()) {
-    // A worker must not block on a condition variable mid-job: it helps
-    // instead, stealing and adopting queued roots (possibly `job` itself)
-    // until the waited job completes. This is what makes submit()+wait()
-    // usable from inside a running task, even on a single-worker pool.
-    // A timed wait checks the clock once per loop iteration — after every
-    // helped task or adopted root too, or a saturated pool (try_progress
-    // succeeding indefinitely) would keep it from ever observing its
-    // timeout. The plain wait() path stays clock-free.
+    // A worker must not sleep mid-job: it helps (steals, adopts queued
+    // roots) until the word drains, so submit()+wait() works inside a task
+    // even on a one-worker pool. A timed wait reads the clock after every
+    // helped unit too: on a saturated pool try_progress never fails.
     Backoff backoff;
-    while (!job.done.load(std::memory_order_acquire)) {
+    while (!word.drained()) {
       const bool progressed = try_progress(*w);
-      if (wait_deadline_ns != 0 && now_ns() >= wait_deadline_ns) {
-        return job.done.load(std::memory_order_acquire);
-      }
+      if (deadline_ns != 0 && now_ns() >= deadline_ns) return word.drained();
       if (progressed) {
         backoff.reset();
       } else {
@@ -429,61 +375,13 @@ bool Scheduler::wait_impl(const RootJob& job, std::uint64_t wait_deadline_ns) {
     }
     return true;
   }
-  // External thread: spin briefly before sleeping. Small-graph round trips
-  // (the plan-replay serving path) complete in a few microseconds — less
-  // than a futex sleep/wake pair — so a bounded backoff spin saves a
-  // context switch on the hot path while long jobs still park on the
-  // condition variable. The budget is zero on a single-worker pool, where
-  // the spinning waiter would only delay the one thread that can make
-  // progress (see wait_spin_limit).
+  // External thread: a bounded spin (see wait_spin_limit), then sleep.
   Backoff backoff;
-  const int spin_limit = wait_spin_limit();
-  for (int spin = 0; spin < spin_limit; ++spin) {
-    if (job.done.load(std::memory_order_acquire)) return true;
+  for (int spin = wait_spin_limit(); spin > 0; --spin) {
+    if (word.drained()) return true;
     backoff.pause();
   }
-  const auto done = [&] { return job.done.load(std::memory_order_acquire); };
-  std::unique_lock<std::mutex> lk(mu_);
-  if (wait_deadline_ns == 0) {
-    cv_done_.wait(lk, done);
-    return true;
-  }
-  return cv_done_.wait_until(lk,
-                             std::chrono::steady_clock::time_point(
-                                 std::chrono::nanoseconds(wait_deadline_ns)),
-                             done);
-}
-
-void Scheduler::wait_batch(BatchSync& sync) {
-  const auto drained = [&] {
-    return sync.remaining.load(std::memory_order_acquire) == 0;
-  };
-  if (Worker* w = current()) {
-    // Workers help instead of blocking, exactly like wait() — a batch
-    // submitted from inside a task drains even on a one-worker pool.
-    Backoff backoff;
-    while (!drained()) {
-      if (try_progress(*w)) {
-        backoff.reset();
-      } else {
-        backoff.pause();
-      }
-    }
-    // Synchronize with the last finisher's notify before the caller may
-    // recycle the jobs or destroy `sync` (see BatchSync).
-    std::lock_guard<std::mutex> lk(sync.m);
-    return;
-  }
-  // External thread: the same bounded spin as wait(), then ONE park on the
-  // batch's own condition variable. Per-root completions never wake us —
-  // only the last finisher signals — so a batch of N costs one sleep/wake
-  // pair instead of N. Returning with sync.m held-then-released also
-  // synchronizes with the last finisher (see BatchSync).
-  Backoff backoff;
-  const int spin_limit = wait_spin_limit();
-  for (int spin = 0; spin < spin_limit && !drained(); ++spin) backoff.pause();
-  std::unique_lock<std::mutex> lk(sync.m);
-  sync.cv.wait(lk, drained);
+  return word.sleep_until_drained(deadline_ns);
 }
 
 std::unique_lock<std::mutex> Scheduler::lock_idle() {
@@ -491,7 +389,7 @@ std::unique_lock<std::mutex> Scheduler::lock_idle() {
                     "Scheduler: idle waits must not be called from a worker "
                     "thread");
   std::unique_lock<std::mutex> lk(mu_);
-  cv_done_.wait(lk, [&] {
+  cv_idle_.wait(lk, [&] {
     return active_jobs_.load(std::memory_order_acquire) == 0 &&
            parked_workers_.load(std::memory_order_acquire) == num_workers();
   });
@@ -534,7 +432,7 @@ void Scheduler::worker_main(std::uint32_t index) {
           parked_workers_.fetch_add(1, std::memory_order_seq_cst) + 1;
       if (parked == num_workers() &&
           active_jobs_.load(std::memory_order_acquire) == 0) {
-        cv_done_.notify_all();  // wait_idle watches for full quiescence
+        cv_idle_.notify_all();  // lock_idle watches for full quiescence
       }
       cv_start_.wait(lk, [&] {
         return shutdown_ || active_jobs_.load(std::memory_order_seq_cst) > 0;

@@ -20,8 +20,9 @@
 // lane ordering and starvation bounding are unchanged from the
 // mutex-guarded design while submitters stay wait-free.
 // submit_batch() amortizes the remaining per-root costs (epoch bump, wake)
-// across N roots and supports completion coalescing: a BatchSync
-// rendezvous whose waiter parks ONCE for the whole batch.
+// across N roots. Completion takes no lock: each root job and each batch
+// has one CompletionWord that finishers count down and waiters sleep on, so
+// a batch waiter sleeps at most ONCE for the whole batch.
 // Workers adopting a root prefer the highest non-empty lane, but
 // draining is starvation-bounded — a lower lane bypassed kLaneStarvationBound
 // times in a row gets the next pop regardless, so background work always
@@ -29,9 +30,10 @@
 // cooperative cancellation word and an optional absolute deadline, both
 // checked by RootJob::should_skip() at each node dispatch: executors skip
 // work once the word is set, and a deadline-armed root sets it itself
-// (kDeadline) the first time a dispatch finds its deadline passed. Adoption
-// checks the deadline once more, so a root that expired while queued starts
-// cancelled. No waiter, sweep or steal-loop clock is involved.
+// (kDeadline) the first time a dispatch finds its deadline passed (a
+// tiny plan's serial interpreter reads the clock only every 8th node).
+// Adoption checks the deadline once more, so a root that expired while
+// queued starts cancelled. No waiter, sweep or steal-loop clock is involved.
 //
 // Memory contract: per-worker frame arenas are epoch-segmented (rt/arena.h).
 // Every RootJob gets a frame epoch at submission; arena blocks are stamped
@@ -64,6 +66,7 @@
 #include "rt/submit_ring.h"
 #include "rt/task.h"
 #include "support/align.h"
+#include "support/futex.h"
 #include "support/rng.h"
 #include "support/spin.h"
 #include "support/timing.h"
@@ -72,6 +75,54 @@
 namespace nabbitc::rt {
 
 class Scheduler;
+
+/// The completion word of one root job or one batch: unfinished roots in
+/// the low 31 bits, plus a bit a waiter sets before it futex-sleeps on the
+/// word. Only the count_down taking the count to zero with that bit set
+/// makes a syscall; one landing between a waiter's bit-set and its sleep
+/// changes the word, so the kernel refuses the sleep and no wake is lost.
+/// Lifetime: a finisher's last access to the word is its RMW, and the wake
+/// passes only the address to the kernel. If the memory was freed and
+/// reused meanwhile, that is a spurious wake of another futex word, which
+/// every futex waiter (ours and glibc's) tolerates by re-checking its word.
+/// So the word may be freed as soon as drained() reads true.
+class CompletionWord {
+ public:
+  /// Arms the word for `n` finishers and clears the parked bit: a plain
+  /// store, made before any finisher or waiter can see the word. arm(0)
+  /// completes it (an inline replay, finished before its submit returns).
+  void arm(std::uint32_t n) noexcept {
+    word_.store(n, std::memory_order_release);
+  }
+  /// True once every finisher has counted down; acquire, so their writes
+  /// are visible to the caller.
+  bool drained() const noexcept {
+    return (word_.load(std::memory_order_acquire) & kCountMask) == 0;
+  }
+  /// One finisher is done. The RMW is its last access to *this.
+  void count_down() noexcept {
+    if (word_.fetch_sub(1, std::memory_order_acq_rel) == (kParked | 1)) {
+      futex_wake_all(&word_);
+    }
+  }
+  /// Sleeps until drained() or the absolute now_ns() deadline (0 = none)
+  /// and returns drained(). The caller spins first if it wants to.
+  bool sleep_until_drained(std::uint64_t deadline_ns) const noexcept {
+    for (;;) {
+      const std::uint32_t seen =
+          word_.fetch_or(kParked, std::memory_order_acquire);
+      if ((seen & kCountMask) == 0) return true;
+      futex_wait(word_, seen | kParked, deadline_ns);
+      if (deadline_ns != 0 && now_ns() >= deadline_ns) return drained();
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kParked = 1u << 31;
+  static constexpr std::uint32_t kCountMask = kParked - 1;
+  /// Mutable: the parked bit is waiter bookkeeping, set by const waits.
+  mutable std::atomic<std::uint32_t> word_{0};
+};
 
 struct SchedulerConfig {
   /// Number of workers (== number of colors). Defaults to host concurrency.
@@ -223,43 +274,34 @@ class Scheduler {
   /// regardless of higher-lane backlog — the starvation bound.
   static constexpr std::uint32_t kLaneStarvationBound = 8;
 
-  /// Completion rendezvous for one submit_batch(). finish_root decrements
-  /// `remaining`; the LAST decrement (to zero) is performed while HOLDING
-  /// `m`, then `cv` is signalled — so a batch waiter parks once for the
-  /// whole batch instead of being woken per root, and any thread that
-  /// observes remaining == 0 and then acquires `m` is guaranteed the final
-  /// signaller is done touching the rendezvous. Lifetime contract: must
-  /// outlive every job submitted with it — call wait_batch() (which ends
-  /// by acquiring `m`, synchronizing with the final signaller as above)
-  /// before destroying it or recycling its jobs.
-  struct BatchSync {
-    std::atomic<std::uint32_t> remaining{0};
-    std::mutex m;
-    std::condition_variable cv;
-  };
+  /// Completion rendezvous for one submit_batch(), armed to the batch size.
+  /// Lifetime: it must outlive the batch's jobs until wait_batch() returns
+  /// (or drained() reads true), and may be freed at once after that: the
+  /// last finisher's final access is its count_down RMW (CompletionWord).
+  using BatchSync = CompletionWord;
 
   /// One unit of submittable root work. The submitter owns the storage; it
-  /// must stay alive until `done` (i.e. until wait() returns). `fn` runs on
-  /// whichever worker adopts the job and must not return before all work it
-  /// spawned has completed (wait on your TaskGroups), which every executor
-  /// in this codebase guarantees. `lane` is read at submit() and
+  /// must stay alive until is_done() (e.g. until wait() returns). `fn` runs
+  /// on whichever worker adopts the job and must not return before all work
+  /// it spawned has completed (wait on your TaskGroups), which every
+  /// executor in this codebase guarantees. `lane` is read at submit() and
   /// `deadline_ns` until the job is done; set both before submitting,
   /// never after.
   struct RootJob {
     std::function<void(Worker&)> fn;
-    std::atomic<bool> done{false};
+    /// Armed to 1 at submit; finish_root counts it down.
+    CompletionWord completion;
     /// Intrusive link: submit-ring chain while queued in a lane inbox, then
     /// lane-FIFO link after the consumer splices (see rt/submit_ring.h).
     RootJob* next = nullptr;
     /// Batch completion rendezvous, or null for singleton submissions. Set
-    /// by submit_batch(); read by finish_root. When non-null the job must
-    /// stay alive until the batch's `remaining` hits zero, not just until
-    /// `done` — BatchSync::remaining is decremented AFTER `done` is set.
+    /// by submit_batch(); finish_root reads it before completing the job
+    /// and counts it down after.
     BatchSync* batch = nullptr;
     /// Completion listener (rt/completion_sink.h), or null. Set before
     /// submit(); submit counts the job as pending on the sink, and
-    /// finish_root reads it before `done` — like `batch` — and notifies it
-    /// after `done`. The sink must outlive the job's notify: see
+    /// finish_root reads it before completing the job — like `batch` — and
+    /// notifies it after. The sink must outlive the job's notify: see
     /// CompletionSink::quiesce().
     CompletionSink* sink = nullptr;
     /// Frame epoch assigned at submit() (monotone); tags every arena block
@@ -316,6 +358,8 @@ class Scheduler {
     CancelReason cancel_reason() const noexcept {
       return static_cast<CancelReason>(cancel.load(std::memory_order_acquire));
     }
+    /// True once `fn` has returned and the job was retired (acquire).
+    bool is_done() const noexcept { return completion.drained(); }
   };
 
   explicit Scheduler(SchedulerConfig cfg);
@@ -341,29 +385,31 @@ class Scheduler {
                     BatchSync* sync = nullptr);
 
   /// Returns when every job of the batch armed on `sync` has completed
-  /// (sync->remaining == 0). External threads park ONCE on the batch's own
-  /// condition variable (per-root completions do not wake them); worker
-  /// threads help instead of blocking, exactly like wait(). Deadlines need
-  /// no waiter: each job expires its own (see RootJob::should_skip).
-  void wait_batch(BatchSync& sync);
+  /// (sync.drained()). Same protocol as wait(), on the batch's own word:
+  /// per-root completions never wake an external waiter, only the last
+  /// finisher does. Deadlines need no waiter: each job expires its own
+  /// (see RootJob::should_skip).
+  void wait_batch(BatchSync& sync) { wait_word(sync, 0); }
 
-  /// Returns when `job.fn` has returned. External threads block on a
-  /// condition variable; a worker thread HELPS instead of blocking — it
-  /// keeps stealing and adopting queued roots (possibly `job` itself)
-  /// until the job completes, so submit+wait works from inside tasks even
-  /// on a single-worker pool.
-  void wait(const RootJob& job);
+  /// Returns when `job.fn` has returned. An external thread spins briefly
+  /// (wait_spin_limit), then sleeps on the job's completion word; a worker
+  /// thread HELPS instead of blocking — it keeps stealing and adopting
+  /// queued roots (possibly `job` itself) until the job completes, so
+  /// submit+wait works from inside tasks even on a single-worker pool.
+  void wait(const RootJob& job) { wait_word(job.completion, 0); }
 
   /// wait() bounded by an absolute now_ns() deadline (0 = unbounded).
-  /// Returns job.done — false means the timeout fired first; the job keeps
-  /// running (pair with RootJob::try_cancel to abandon it).
-  bool wait_until(const RootJob& job, std::uint64_t deadline_ns);
+  /// Returns job.is_done() — false means the timeout fired first; the job
+  /// keeps running (pair with RootJob::try_cancel to abandon it).
+  bool wait_until(const RootJob& job, std::uint64_t deadline_ns) {
+    return wait_word(job.completion, deadline_ns);
+  }
 
-  /// External-waiter spin budget before parking on the condition variable.
+  /// External-waiter spin budget before sleeping on the completion word.
   /// Bounded spinning wins for small-graph round trips (a few µs — less
   /// than a futex sleep/wake), but on a single-worker pool the spinning
   /// waiter competes with the only thread that can make progress, so wait()
-  /// parks immediately there (exposed for the regression test).
+  /// sleeps immediately there (exposed for the regression test).
   int wait_spin_limit() const noexcept { return num_workers() > 1 ? 128 : 0; }
 
   /// Blocks until no job is active AND every worker has parked. After this
@@ -455,12 +501,15 @@ class Scheduler {
   /// Wakes parked workers after publishing new work, eliding the mutex+
   /// notify entirely when nobody is parked (the common saturated case).
   void wake_workers() noexcept;
-  /// Shared body of wait()/wait_until(); wait_deadline_ns == 0 means wait
-  /// forever.
-  bool wait_impl(const RootJob& job, std::uint64_t wait_deadline_ns);
-  /// Marks `job` done and wakes its waiter; returns true when this was the
-  /// last active job (the caller may then rewind its arena). `job` must not
-  /// be touched after this returns — the submitter may already have freed it.
+  /// The one wait loop behind wait(), wait_until() and wait_batch(): until
+  /// `word` drains or the absolute `deadline_ns` passes (0 = never), a
+  /// worker helps through try_progress; an external thread spins, then
+  /// sleeps on the word. Returns word.drained().
+  bool wait_word(const CompletionWord& word, std::uint64_t deadline_ns);
+  /// Retires `job` and counts down its completion words (job, batch) and
+  /// sink; returns true when this was the last active job (the caller may
+  /// then rewind its arena). `job` must not be touched after this returns —
+  /// the submitter may already have freed it.
   bool finish_root(RootJob& job);
   /// Publishes the delta of `w`'s plain counters into the obs registry.
   /// Called only from w's own thread, at cold boundaries (root completion,
@@ -493,7 +542,9 @@ class Scheduler {
 
   std::mutex mu_;
   std::condition_variable cv_start_;  // workers park here while idle
-  std::condition_variable cv_done_;   // submitters wait here (and wait_idle)
+  /// Signalled by the last worker to park with no active job; lock_idle
+  /// (wait_idle, the idle snapshots, ~Scheduler) waits here.
+  std::condition_variable cv_idle_;
   /// One injection lane per priority. Producers touch only `inbox` (lock-
   /// free); the spliced FIFO (`head`/`tail`) and `bypassed` live under mu_.
   /// `bypassed` counts consecutive pops that preferred a higher lane while

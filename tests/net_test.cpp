@@ -8,7 +8,10 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -748,6 +751,77 @@ TEST(NetService, ResultArrivesWithoutPolling) {
   EXPECT_LE(empty.value() - empty_before, 2u)
       << "the session woke without work during a "
       << elapsed_ns / 1'000'000 << " ms execution";
+  server.stop();
+}
+
+/// CPU time (user + system) this process has used so far.
+std::uint64_t process_cpu_ns() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  const auto ns = [](const timeval& tv) {
+    return static_cast<std::uint64_t>(tv.tv_sec) * 1'000'000'000ull +
+           static_cast<std::uint64_t>(tv.tv_usec) * 1'000ull;
+  };
+  return ns(ru.ru_utime) + ns(ru.ru_stime);
+}
+
+// At the fd limit accept4 fails with EMFILE while the refused connection
+// stays queued, keeping the listen fd readable: the accept thread must back
+// off instead of spinning on poll, and serve the connection once fds are
+// available again. (Each test runs in its own process under ctest, so the
+// lowered limit stays inside this test; it is restored before returning.)
+TEST(NetService, AcceptBacksOffAtTheFdLimit) {
+  const std::string path = unique_sock_path("emfile");
+  Server server(test_opts(path));
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  const obs::Counter& backoffs =
+      obs::registry().counter("net_accept_backoff_total");
+  const std::uint64_t backoffs_before = backoffs.value();
+
+  // The client socket exists before the limit drops; connect needs no fd.
+  Fd client(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  ASSERT_TRUE(client.valid());
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(path.size(), sizeof(addr.sun_path));
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+
+  // The lowest free fd number becomes the soft limit: no fd below it is
+  // free, so the server's next accept4 cannot get one.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int probe = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(probe, 0);
+  ::close(probe);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(probe);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  const int connected = ::connect(
+      client.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  const std::uint64_t cpu0 = process_cpu_ns();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::uint64_t cpu_ns = process_cpu_ns() - cpu0;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_EQ(connected, 0) << std::strerror(errno);
+
+  EXPECT_LT(cpu_ns, 100'000'000ull)
+      << "the accept thread spun at the fd limit";
+  EXPECT_GT(backoffs.value(), backoffs_before);
+
+  // With fds available again the queued connection is accepted and served.
+  WireWriter body;
+  const auto req = frame_bytes(FrameType::kMetricsReq, body);
+  ASSERT_EQ(::write(client.get(), req.data(), req.size()),
+            static_cast<ssize_t>(req.size()));
+  pollfd pfd{client.get(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 10'000), 1) << "no reply after the limit lifted";
+  std::uint8_t hdr[kFrameHeaderBytes];
+  ASSERT_EQ(::read(client.get(), hdr, sizeof(hdr)),
+            static_cast<ssize_t>(sizeof(hdr)));
+  FrameHeader fh;
+  ASSERT_EQ(parse_frame_header(hdr, fh), HeaderStatus::kOk);
+  EXPECT_EQ(fh.type, FrameType::kMetrics);
   server.stop();
 }
 

@@ -310,14 +310,18 @@ TEST(PlanCompile, ReserveInstancesPreBuildsPool) {
 
 /// Pure pipeline: node k depends only on k-1 (the whole graph is one
 /// fanout-1/fanin-1 run). Commutative accumulate, so the total is exactly
-/// checkable regardless of schedule.
+/// checkable regardless of schedule. Each compute spins `spin_ns` first.
 struct ChainNode final : TaskGraphNode {
   std::atomic<std::uint64_t>* acc;
-  explicit ChainNode(std::atomic<std::uint64_t>* a) : acc(a) {}
+  std::uint64_t spin_ns;
+  ChainNode(std::atomic<std::uint64_t>* a, std::uint64_t spin)
+      : acc(a), spin_ns(spin) {}
   void init(ExecContext&) override {
     if (key() > 0) add_predecessor(key() - 1);
   }
   void compute(ExecContext&) override {
+    const Timer t;
+    while (t.nanos() < spin_ns) cpu_relax();
     acc->fetch_add(splitmix64(key() + 1), std::memory_order_relaxed);
   }
 };
@@ -325,10 +329,12 @@ struct ChainNode final : TaskGraphNode {
 struct ChainSpec final : GraphSpec {
   std::atomic<std::uint64_t>* acc;
   std::uint32_t n;
-  ChainSpec(std::atomic<std::uint64_t>* a, std::uint32_t nodes)
-      : acc(a), n(nodes) {}
+  std::uint64_t spin_ns;
+  ChainSpec(std::atomic<std::uint64_t>* a, std::uint32_t nodes,
+            std::uint64_t spin = 0)
+      : acc(a), n(nodes), spin_ns(spin) {}
   TaskGraphNode* create(NodeArena& arena, Key) override {
-    return arena.create<ChainNode>(acc);
+    return arena.create<ChainNode>(acc, spin_ns);
   }
   Color color_of(Key) const override { return 0; }
   std::size_t expected_nodes() const override { return n; }
@@ -380,6 +386,25 @@ TEST(PlanPasses, TinyGraphLoweringTracksSizeBoundAndMask) {
   ChainSpec at_bound(&acc, plan::kTinyGraphMaxNodes);
   auto big = rt.compile(at_bound, plan::kTinyGraphMaxNodes - 1);
   EXPECT_FALSE(big->serial_lowered());
+}
+
+TEST(PlanPasses, InlineReplayExpiresItsDeadlineBetweenClockReads) {
+  // The serial interpreter reads an armed deadline's clock at the first
+  // node and then every 8th: a 16-node chain of ~1 ms nodes with a 3 ms
+  // deadline, run inline, must still expire mid-replay and skip the rest.
+  auto rt = make_runtime(Variant::kNabbitC);
+  std::atomic<std::uint64_t> acc{0};
+  ChainSpec spec(&acc, 16, /*spin=*/1'000'000);
+  auto p = rt.compile(spec, 15);
+  ASSERT_TRUE(p->serial_lowered());
+  SubmitOptions so;
+  so.deadline_ns = now_ns() + 3'000'000;
+  Execution e = rt.submit(*p, so);
+  ASSERT_TRUE(e.done()) << "lowered submit must complete inline";
+  const Status st = e.status();
+  EXPECT_EQ(st.state, ExecStatus::kDeadlineExceeded);
+  EXPECT_GT(st.skipped_nodes, 0u);
+  EXPECT_EQ(e.nodes_computed() + st.skipped_nodes, 16u);
 }
 
 // --------------------------------------------------------------- pool scrape
@@ -782,8 +807,7 @@ TEST(PlanArena, NeverQuiescentSubmissionChainHoldsArenaBytesBounded) {
              submitted.load(std::memory_order_acquire) < i + 2) {
         backoff.pause();
       }
-      while (i > 0 && !jobs[static_cast<std::size_t>(i) - 1]->done.load(
-                          std::memory_order_acquire)) {
+      while (i > 0 && !jobs[static_cast<std::size_t>(i) - 1]->is_done()) {
         backoff.pause();
       }
     };
@@ -812,7 +836,7 @@ TEST(PlanArena, NeverQuiescentSubmissionChainHoldsArenaBytesBounded) {
       // Polling done (not sched.wait) keeps this thread non-blocking; job
       // kWarmJob/2 only needs submissions this loop already made.
       Backoff backoff;
-      while (!jobs[kWarmJob / 2]->done.load(std::memory_order_acquire)) {
+      while (!jobs[kWarmJob / 2]->is_done()) {
         backoff.pause();
       }
       warm_bytes = rt.arena_bytes();

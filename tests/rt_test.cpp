@@ -722,7 +722,7 @@ TEST(SubmissionControl, RunningJobExpiresItsOwnDeadline) {
     skipped.store(job.cancel_requested(), std::memory_order_release);
   };
   sched.submit(job);
-  while (!job.done.load(std::memory_order_acquire)) {
+  while (!job.is_done()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(skipped.load(std::memory_order_acquire));
@@ -749,6 +749,63 @@ TEST(SubmissionControl, WaitUntilTimesOutWithoutCancelling) {
   release.store(true, std::memory_order_release);
   sched.wait(job.job);
   EXPECT_FALSE(job.saw_cancel);
+}
+
+TEST(SubmissionControl, ManyExternalWaitersOnOneRootAllReturn) {
+  // Several external threads wait on the SAME root, some untimed and some
+  // with a far deadline: the one futex wake of its completion word must
+  // release every sleeper, round after round on a 2-worker pool.
+  api::Runtime rt(test_options(2));
+  Scheduler& sched = rt.scheduler();
+  constexpr int kRounds = 50, kWaiters = 3, kTimedWaiters = 3;
+  std::atomic<int> returned{0};
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<bool> release{false};
+    Scheduler::RootJob job;
+    job.fn = [&release](Worker&) {
+      Backoff backoff;
+      while (!release.load(std::memory_order_acquire)) backoff.pause();
+    };
+    sched.submit(job);
+    std::vector<std::thread> waiters;
+    for (int i = 0; i < kWaiters; ++i) {
+      waiters.emplace_back([&] {
+        sched.wait(job);
+        if (job.is_done()) returned.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+    for (int i = 0; i < kTimedWaiters; ++i) {
+      waiters.emplace_back([&] {
+        if (sched.wait_until(job, now_ns() + 60'000'000'000ull)) {
+          returned.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    // Let the waiters get past their spin and fall asleep on the word.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    release.store(true, std::memory_order_release);
+    for (auto& t : waiters) t.join();
+  }
+  EXPECT_EQ(returned.load(), kRounds * (kWaiters + kTimedWaiters));
+}
+
+TEST(SubmissionControl, TimedWaitIsWokenBeforeItsDeadline) {
+  // An external wait_until on a root that finishes long before the deadline
+  // returns true right after the finish: the finisher wakes the sleeper,
+  // the sleeper does not time out.
+  api::Runtime rt(test_options(2));
+  Scheduler& sched = rt.scheduler();
+  Scheduler::RootJob job;
+  job.fn = [](Worker&) {
+    Timer t;
+    while (t.seconds() < 20e-3) cpu_relax();  // ~20ms of real work
+  };
+  const std::uint64_t deadline = now_ns() + 30'000'000'000ull;  // 30s
+  sched.submit(job);
+  Timer waited;
+  EXPECT_TRUE(sched.wait_until(job, deadline));
+  EXPECT_LT(waited.seconds(), 5.0) << "the waiter slept toward its deadline";
+  EXPECT_TRUE(job.is_done());
 }
 
 TEST(SubmissionControl, WorkerTimedWaitObservesDeadlineUnderSustainedProgress) {
@@ -904,7 +961,7 @@ TEST(SubmissionControl, BatchSubmitRespectsLanePolicyAndFifo) {
   release.store(true, std::memory_order_release);
   sched.wait_batch(sync);
   sched.wait(blocker.job);
-  EXPECT_EQ(sync.remaining.load(std::memory_order_relaxed), 0u);
+  EXPECT_TRUE(sync.drained());
   const int expect[6] = {1, 3, 5, 0, 2, 4};
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(order[i], expect[i]) << "pop position " << i;
@@ -958,7 +1015,7 @@ TEST(SubmissionControl, ConcurrentBatchProducersAllComplete) {
         sched.submit_batch(jobs, kPer, &sync);
         sched.wait_batch(sync);
         for (int i = 0; i < kPer; ++i) {
-          EXPECT_TRUE(roots[i].done.load(std::memory_order_acquire));
+          EXPECT_TRUE(roots[i].is_done());
         }
       }
     });
@@ -968,15 +1025,15 @@ TEST(SubmissionControl, ConcurrentBatchProducersAllComplete) {
 }
 
 TEST(SubmissionControl, BatchRendezvousTeardownStress) {
-  // Regression for a use-after-free in the batch rendezvous: the last
-  // finisher used to drop sync.remaining to zero BEFORE taking sync.m, so
-  // a waiter spinning on the lock-free count could observe zero, slip
-  // through its lock/unlock of sync.m, return, and destroy the rendezvous
-  // while the finisher was still about to lock it. The final decrement is
-  // now published under sync.m. Recreating a stack-allocated BatchSync
-  // (and the jobs) every iteration puts freshly freed memory behind the
-  // old window, making the bad interleaving a crash/tsan hit rather than
-  // silent corruption.
+  // The batch word's lifetime rule (see CompletionWord): a waiter may free
+  // the rendezvous as soon as it sees the count drain, because the last
+  // finisher's final access to it is the count_down RMW — the futex wake
+  // that may follow passes only the address to the kernel. Any finisher
+  // that touched the word after its RMW (as an earlier lock-based version
+  // did) would hit freed memory here: recreating a stack-allocated
+  // BatchSync (and the jobs) every iteration puts freshly freed memory
+  // right behind the drain, making such an access a crash/tsan hit rather
+  // than silent corruption.
   api::Runtime rt(test_options(2));
   Scheduler& sched = rt.scheduler();
   std::atomic<int> ran{0};
